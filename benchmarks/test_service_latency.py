@@ -58,12 +58,12 @@ CELL = JobSpec(program="fullconn", scale=0.05)
 WARM_REQUESTS = 200
 
 #: the store-tier cell: a full-scale result, fetched by key from a
-#: remote worker store -- the payload whose size the binary framing
-#: (PR 10) exists to shrink
+#: remote worker store -- the payload whose size the binary frames and
+#: the ``result-v1`` codec exist to shrink
 FETCH_CELL = JobSpec(program="fullconn", scale=1.0)
 FETCH_REQUESTS = 50
-#: a binary fetch response must carry at least this many times fewer
-#: bytes than the same response in JSON framing; byte counts are
+#: a fetch response frame must carry at least this many times fewer
+#: bytes than the same result rendered as JSON; byte counts are
 #: deterministic, so this gate is machine-independent
 PAYLOAD_REDUCTION_FLOOR = 3.0
 
@@ -175,20 +175,23 @@ def test_warm_cell_http_latency(service):
 
 def test_remote_warm_fetch_by_key(tmp_path):
     """Store-tier figure of merit: fetch a full-scale result by key
-    from a remote worker's store, once over negotiated binary framing
-    and once with the client pinned to JSON lines.  Reports the binary
-    fetch p50 and the on-wire response bytes under each framing; the
-    binary payload must stay at least ``PAYLOAD_REDUCTION_FLOOR`` times
-    smaller."""
+    from a remote worker's store.  Reports the fetch p50 and the
+    on-wire response bytes next to the bytes of the same result
+    rendered as compact JSON in-process; the wire must stay at least
+    ``PAYLOAD_REDUCTION_FLOOR`` times smaller."""
     from repro.runner.executor import _execute
-    from repro.runner.serialize import result_from_dict
+    from repro.runner.serialize import result_from_dict, result_to_dict
     from repro.service import ServiceMetrics, SocketTransport, serve_worker
 
     cache = ResultCache(tmp_path / "store")
     payload = _execute(FETCH_CELL, None, None)
     assert payload["ok"], payload
-    cache.put(FETCH_CELL, result_from_dict(payload["result"]))
+    result = result_from_dict(payload["result"])
+    cache.put(FETCH_CELL, result)
     key = FETCH_CELL.cache_key()
+    json_bytes = len(
+        json.dumps(result_to_dict(result), separators=(",", ":")).encode()
+    )
     baseline = (
         json.load(open(BASELINE_PATH)).get("service")
         if BASELINE_PATH.exists()
@@ -204,13 +207,11 @@ def test_remote_warm_fetch_by_key(tmp_path):
 
     request = {"op": "fetch", "kind": "result", "key": key}
 
-    async def measure(framing: str):
+    async def measure():
         metrics = ServiceMetrics()
-        transport = SocketTransport(
-            "127.0.0.1", port, binary=framing, metrics=metrics
-        )
+        transport = SocketTransport("127.0.0.1", port, metrics=metrics)
         try:
-            # connect, negotiate, and prove the key is warm before timing
+            # connect and prove the key is warm before timing
             warm = await transport.call(dict(request))
             assert warm["ok"], warm
             base_bytes = metrics.bytes_received
@@ -226,8 +227,7 @@ def test_remote_warm_fetch_by_key(tmp_path):
             await transport.close()
 
     try:
-        bin_lat, bin_bytes, bin_metrics = asyncio.run(measure("auto"))
-        json_lat, json_bytes, json_metrics = asyncio.run(measure("never"))
+        latencies, frame_bytes, metrics = asyncio.run(measure())
     finally:
 
         async def teardown():
@@ -240,29 +240,25 @@ def test_remote_warm_fetch_by_key(tmp_path):
         thread.join(timeout=10)
         loop.close()
 
-    # the auto client really negotiated binary (one JSON hello, then
-    # every fetch in binary frames); the pinned client never did
-    assert bin_metrics.frames_binary == 1 + FETCH_REQUESTS
-    assert bin_metrics.frames_json == 1
-    assert json_metrics.frames_binary == 0
+    # one frame per fetch: no handshake, no silent reconnect
+    assert metrics.frames_binary == 1 + FETCH_REQUESTS
 
-    reduction = json_bytes / bin_bytes
-    p50 = statistics.median(bin_lat)
+    reduction = json_bytes / frame_bytes
+    p50 = statistics.median(latencies)
     report = {
         "fetch_protocol": (
             f"wall clock over a localhost socket, {FETCH_REQUESTS} warm "
             f"'fetch' ops of the {FETCH_CELL.label()} scale-"
             f"{FETCH_CELL.scale} result by cache key against a live "
-            "worker store, once over negotiated binary framing and once "
-            "with the client pinned to JSON lines; bytes are on-wire "
-            "response frame sizes"
+            "worker store; fetch_bytes_binary is the on-wire response "
+            "frame size, fetch_bytes_json the same result rendered as "
+            "compact JSON in-process (result_to_dict)"
         ),
         "fetch_cell": f"{FETCH_CELL.label()} @ scale {FETCH_CELL.scale}",
         "fetch_p50_ms": round(1000 * p50, 3),
-        "fetch_p99_ms": round(1000 * bin_lat[int(0.99 * (len(bin_lat) - 1))], 3),
-        "fetch_json_p50_ms": round(1000 * statistics.median(json_lat), 3),
-        "fetch_bytes_binary": round(bin_bytes, 1),
-        "fetch_bytes_json": round(json_bytes, 1),
+        "fetch_p99_ms": round(1000 * latencies[int(0.99 * (len(latencies) - 1))], 3),
+        "fetch_bytes_binary": round(frame_bytes, 1),
+        "fetch_bytes_json": json_bytes,
         "payload_reduction_vs_json": round(reduction, 2),
     }
 
@@ -277,9 +273,9 @@ def test_remote_warm_fetch_by_key(tmp_path):
     # deterministic floors: byte counts do not jitter, so the payload
     # gate holds on any machine; the latency floor is a loose sanity
     assert reduction >= PAYLOAD_REDUCTION_FLOOR, (
-        f"binary fetch response only {reduction:.2f}x smaller than JSON "
-        f"({bin_bytes:.0f} vs {json_bytes:.0f} B, floor "
-        f"{PAYLOAD_REDUCTION_FLOOR}x)"
+        f"fetch response frame only {reduction:.2f}x smaller than the "
+        f"result's JSON rendering ({frame_bytes:.0f} vs {json_bytes} B, "
+        f"floor {PAYLOAD_REDUCTION_FLOOR}x)"
     )
     assert p50 < 0.25, f"warm remote fetch took {1000 * p50:.1f} ms"
 
@@ -295,9 +291,9 @@ def test_remote_warm_fetch_by_key(tmp_path):
         )
     else:
         base_bytes = baseline["fetch_bytes_binary"]
-        if bin_bytes > base_bytes * 1.10:
+        if frame_bytes > base_bytes * 1.10:
             problems.append(
-                f"binary fetch response grew to {bin_bytes:.0f} B "
+                f"binary fetch response grew to {frame_bytes:.0f} B "
                 f"(committed {base_bytes:.0f} B +10%): the wire format "
                 "got fatter"
             )

@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker",
         action="store_true",
         help=(
-            "serve the worker-agent socket protocol (binary-framed, with "
-            "newline-JSON fallback) instead of the HTTP front end "
+            "serve the worker-agent socket protocol (length-prefixed "
+            "binary frames) instead of the HTTP front end "
             "(the far end of --workers)"
         ),
     )
@@ -275,28 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sv.add_argument(
-        "--store",
-        default=None,
-        help=(
-            "HOST:PORT of a designated store node, consulted before any "
-            "--peers (a worker agent whose cache is the shared warm tier)"
-        ),
-    )
-    sv.add_argument(
         "--max-queue",
         type=int,
         default=None,
         help=(
             "front end only: refuse (HTTP 503 + Retry-After) once this "
             "many jobs are queued behind the running set"
-        ),
-    )
-    sv.add_argument(
-        "--json-transport",
-        action="store_true",
-        help=(
-            "disable binary framing: speak newline-JSON only, both as a "
-            "--worker server and toward --workers/--peers agents"
         ),
     )
     sv.add_argument("--timeout", type=float, default=None, help="per-attempt seconds")
@@ -1156,17 +1140,15 @@ def _run_serve(args) -> int:
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     tcache = _trace_cache_arg(args)
-    framing = "never" if args.json_transport else "auto"
 
     def _addresses(csv: str | None) -> list:
         return [
-            SocketTransport.from_address(a.strip(), binary=framing)
+            SocketTransport.from_address(a.strip())
             for a in (csv or "").split(",")
             if a.strip()
         ]
 
-    # the designated store node is just a peer consulted first
-    peer_transports = _addresses(args.store) + _addresses(args.peers)
+    peer_transports = _addresses(args.peers)
 
     async def _worker() -> None:
         server, port, agent = await serve_worker(
@@ -1176,7 +1158,6 @@ def _run_serve(args) -> int:
             host=args.host,
             port=args.port,
             peers=peer_transports,
-            binary=not args.json_transport,
         )
         print(f"[serve] worker agent {agent.name} on {args.host}:{port}", flush=True)
         if peer_transports:
@@ -1362,7 +1343,8 @@ def _run_status(args) -> int:
         print(
             f"store tier : {snap.get('peers', 0)} peer(s), "
             f"{m.get('remote_hits', 0)} remote hit(s), "
-            f"{m.get('remote_misses', 0)} remote miss(es)"
+            f"{m.get('remote_misses', 0)} remote miss(es), "
+            f"{m.get('remote_rejects', 0)} rejected"
         )
     if snap.get("max_queue") is not None or m.get("shed"):
         bound = snap.get("max_queue")
@@ -1376,10 +1358,9 @@ def _run_status(args) -> int:
             f"resilience : {m.get('worker_failures', 0)} worker failure(s), "
             f"{m.get('shards_replanned', 0)} shard(s) re-planned"
         )
-    if m.get("frames_binary") or m.get("frames_json"):
+    if m.get("frames_binary"):
         print(
-            f"transport  : {m.get('frames_binary', 0)} binary / "
-            f"{m.get('frames_json', 0)} JSON frame(s), "
+            f"transport  : {m.get('frames_binary', 0)} frame(s), "
             f"{m.get('bytes_sent', 0):,} B out / "
             f"{m.get('bytes_received', 0):,} B in"
         )

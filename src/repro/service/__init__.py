@@ -11,14 +11,14 @@ The service turns the batch executor into simulation-as-a-service:
 * :mod:`~repro.service.planner` -- cost-balanced shard planning for
   sweep grids dispatched to remote workers.
 * :mod:`~repro.service.transport` -- in-process and socket transports
-  (stdlib only) with dual JSON / length-prefixed-binary framing and
-  per-connection negotiation; multi-host workers are a config change.
+  (stdlib only) over one length-prefixed binary framing; multi-host
+  workers are a config change.
 * :mod:`~repro.service.worker` -- the worker agent at the far end of a
   transport (``ping`` / ``run`` / ``run_shard`` / ``has`` / ``fetch``
   / ``stats``).
 * :mod:`~repro.service.stores` -- the peer-replicated warm-store tier:
-  read-through ``has``/``fetch`` against peer stores, healing fetched
-  objects into the local caches.
+  read-through ``has``/``fetch`` against peer stores, checking fetched
+  results against their specs and healing them into the local caches.
 * :mod:`~repro.service.aggregator` -- streaming fold of finished cells
   into JSONL manifests and incremental suite tables.
 * :mod:`~repro.service.frontend` -- HTTP front end (``/submit``,

@@ -118,6 +118,7 @@ class ServiceMetrics:
     # -- store tier ----------------------------------------------------
     remote_hits: int = 0  # objects served by a peer store, not simulated
     remote_misses: int = 0  # peer consults that found nothing
+    remote_rejects: int = 0  # peer answers refused: result does not match its spec
     # -- backpressure / priority lanes ---------------------------------
     shed: int = 0  # requests refused at the queue-depth bound (503s)
     priority_high: int = 0  # requests admitted on the high lane
@@ -128,7 +129,6 @@ class ServiceMetrics:
     bytes_sent: int = 0
     bytes_received: int = 0
     frames_binary: int = 0
-    frames_json: int = 0
     stage_latency: dict = field(
         default_factory=lambda: {s: LatencyHistogram() for s in STAGES}
     )
@@ -167,6 +167,7 @@ class ServiceMetrics:
             "shards_dispatched": self.shards_dispatched,
             "remote_hits": self.remote_hits,
             "remote_misses": self.remote_misses,
+            "remote_rejects": self.remote_rejects,
             "shed": self.shed,
             "priority_high": self.priority_high,
             "worker_failures": self.worker_failures,
@@ -174,7 +175,6 @@ class ServiceMetrics:
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "frames_binary": self.frames_binary,
-            "frames_json": self.frames_json,
             "stage_latency": {
                 s: h.to_dict() for s, h in self.stage_latency.items()
             },
@@ -206,6 +206,7 @@ class ServiceMetrics:
         counter("shards_dispatched_total", self.shards_dispatched, "Sweep shards dispatched to workers")
         counter("remote_hits_total", self.remote_hits, "Objects served by a peer store instead of simulating")
         counter("remote_misses_total", self.remote_misses, "Peer store consults that found nothing")
+        counter("remote_rejects_total", self.remote_rejects, "Peer store answers refused because the result does not match its spec")
         counter("shed_total", self.shed, "Requests refused at the queue-depth bound")
         counter("priority_high_total", self.priority_high, "Requests admitted on the high-priority lane")
         counter("worker_failures_total", self.worker_failures, "Shard dispatches lost to a dead worker")
@@ -213,7 +214,6 @@ class ServiceMetrics:
         counter("bytes_sent_total", self.bytes_sent, "Transport payload bytes sent to workers and peers")
         counter("bytes_received_total", self.bytes_received, "Transport payload bytes received from workers and peers")
         counter("frames_binary_total", self.frames_binary, "Transport frames sent in binary framing")
-        counter("frames_json_total", self.frames_json, "Transport frames sent in JSON framing")
         gauge("queue_depth", self.queue_depth, "Jobs admitted but not yet running")
         gauge("in_flight", self.in_flight, "Distinct cell keys currently being computed")
         for stage, hist in self.stage_latency.items():

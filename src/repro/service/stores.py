@@ -13,34 +13,54 @@ speaking the same ``has``/``fetch`` ops -- into one read-through tier:
   key is a plain local hit and every key is simulated at most once per
   fleet.
 
-Results travel as compact ``result-v1`` blobs on binary connections
-and as plain JSON dicts on negotiated-JSON connections; traces always
-travel as raw sidecar + ``.npy`` blobs (degrading to base64 on JSON
-peers).  A dead or stale peer is skipped, never fatal: the store tier
-is an optimization layer on top of simulation, and simulation always
-remains the fallback.
+Results travel as compact ``result-v1`` blobs, traces as their raw
+``json`` sidecar and ``npy`` records blobs.  A fetched result is
+checked against the spec it was asked for before it is healed or
+served: a peer whose result names another program, lock scheme,
+consistency model or processor count is skipped and counted in
+``remote_rejects``.  A dead or stale peer is skipped, never fatal: the
+store tier is an optimization layer on top of simulation, and
+simulation always remains the fallback.
 """
 
 from __future__ import annotations
 
-from ..runner.serialize import result_from_bytes, result_from_dict
+from ..consistency import get_model
+from ..runner.serialize import RESULT_CODEC, result_from_bytes
 from .transport import Blob
 
-__all__ = ["PeerStore", "decode_fetched_result"]
+__all__ = ["PeerStore", "decode_fetched_result", "result_matches_spec"]
 
 
 def decode_fetched_result(response: dict):
-    """A fetch response's result, whichever encoding it used.
+    """A fetch response's ``result-v1`` payload, decoded.
 
-    Binary peers answer with a ``result-v1`` :class:`Blob`; JSON peers
-    answer with a serialized result dict.  Raises on neither.
+    Raises ``ValueError`` when the payload is not a :class:`Blob`
+    tagged ``result-v1``.
     """
     payload = response.get("payload")
-    if isinstance(payload, Blob):
-        return result_from_bytes(payload.data)
-    if response.get("result") is not None:
-        return result_from_dict(response["result"])
-    raise ValueError("fetch response carries no result payload")
+    if not isinstance(payload, Blob) or payload.codec != RESULT_CODEC:
+        raise ValueError(f"fetch response carries no {RESULT_CODEC} payload")
+    return result_from_bytes(payload.data)
+
+
+def result_matches_spec(result, spec) -> bool:
+    """Whether ``result`` labels itself as an outcome of ``spec``.
+
+    Names compare canonically (the registries are lowercase, and model
+    aliases such as ``weak`` resolve through ``get_model``); the program
+    only when the spec names one, ``n_procs`` only when the spec sets it.
+    """
+    try:
+        model = get_model(spec.consistency).name
+    except ValueError:  # no such model: nothing can be its outcome
+        return False
+    return (
+        result.lock_scheme == spec.lock_scheme.lower()
+        and result.consistency == model
+        and (not spec.program or result.program == spec.program.lower())
+        and (spec.n_procs is None or result.n_procs == spec.n_procs)
+    )
 
 
 class PeerStore:
@@ -50,7 +70,8 @@ class PeerStore:
     node first if there is one.  ``cache`` / ``trace_cache`` are the
     local stores fetched objects heal into (either may be ``None``).
     ``metrics`` (a :class:`~repro.service.metrics.ServiceMetrics`)
-    receives ``remote_hits`` / ``remote_misses`` counts.
+    receives ``remote_hits`` / ``remote_misses`` / ``remote_rejects``
+    counts.
     """
 
     def __init__(
@@ -98,8 +119,9 @@ class PeerStore:
         """Fetch one result by key; heals into the local cache.
 
         ``spec`` (when known) lets the healed object carry its full
-        self-describing spec, exactly as if it had been simulated here.
-        Returns the :class:`RunResult` or ``None`` if no peer holds it.
+        self-describing spec, exactly as if it had been simulated here,
+        and a peer whose result does not match it is skipped.  Returns
+        the :class:`RunResult` or ``None`` if no peer holds it.
         """
         for transport in self.transports:
             try:
@@ -110,6 +132,9 @@ class PeerStore:
                     continue
                 result = decode_fetched_result(response)
             except Exception:
+                continue
+            if spec is not None and not result_matches_spec(result, spec):
+                self._count("remote_rejects")
                 continue
             if self.cache is not None and spec is not None:
                 self.cache.put(spec, result)

@@ -1,43 +1,31 @@
-"""Request/response transport with dual JSON / binary framing (stdlib only).
+"""Request/response transport over length-prefixed binary frames (stdlib only).
 
 A transport carries one request dict to a worker agent and returns one
 response dict.  Two implementations:
 
-* :class:`InProcessTransport` -- calls an async handler directly; zero
-  copies, used by tests and by single-process deployments.
+* :class:`InProcessTransport` -- calls an async handler directly, but
+  passes both messages through the frame codec, so in-process peers see
+  exactly what a socket peer sees; used by tests and by single-process
+  deployments.
 * :class:`SocketTransport` / :func:`serve_socket` -- a TCP stream
   (asyncio streams, one request in flight per connection, transparent
   reconnect).  Point it at ``127.0.0.1`` today; pointing it at another
   host *is the whole multi-host story* -- the scheduler neither knows
   nor cares where the worker runs.
 
-Two frame encodings share every connection:
-
-* **JSON frames** (the PR-6 wire format, still the control plane): one
-  JSON object per line, UTF-8.  Binary payloads are expressible here
-  too -- a :class:`Blob` becomes a base64 marker object -- so JSON is a
-  complete, slow fallback, not a restricted subset.
-* **Binary frames** (the bulk plane): a fixed :mod:`struct` header
-  ``!4sBIQ`` -- magic ``0xAB 'RF1'``, flags, meta length, body length --
-  followed by the body: a JSON *meta* document (the control dict with
-  each :class:`Blob` replaced by an index placeholder, plus a segment
-  table of ``[codec, length]`` pairs) concatenated with the raw blob
-  payload segments.  Flag bit 0 marks a zlib-deflated body.  Because
-  the magic's first byte can neither begin a JSON document nor a UTF-8
-  sequence, a server (or client) sniffs one byte and knows the framing.
-
-Framing is negotiated, never assumed: a client in ``binary="auto"``
-mode opens every connection with a ``__negotiate__`` JSON line; servers
-built on :func:`serve_socket` answer it at the framing layer, anything
-else answers with an unknown-op error, and either way the client knows
-whether binary frames are welcome before it sends one.  Responses are
-always framed like the request they answer.
+Every message travels as one frame: a fixed :mod:`struct` header
+``!4sBIQ`` -- magic ``0xAB 'RF1'``, flags, meta length, body length --
+followed by the body: a JSON *meta* document (the control dict with
+each :class:`Blob` replaced by an index placeholder, plus a segment
+table of ``[codec, length]`` pairs) concatenated with the raw blob
+payload segments.  Flag bit 0 marks a zlib-deflated body.  Frames are
+outside input: a header, meta document or segment table that does not
+describe its body exactly is refused with ``ConnectionError``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import struct
 import zlib
@@ -57,7 +45,7 @@ __all__ = [
 #: refuse absurd frames instead of buffering without bound
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: binary frame header: magic, flags, meta length, body length.
+#: frame header: magic, flags, meta length, body length.
 #: ``body length`` counts on-wire bytes after the header (post-deflate);
 #: ``meta length`` counts bytes of the *inflated* meta document so the
 #: reader can split meta from payload after decompressing.
@@ -68,13 +56,6 @@ FLAG_DEFLATE = 0x01
 #: deflate the body when it shrinks; tiny control frames skip the call
 _DEFLATE_THRESHOLD = 512
 
-#: request key injected by the framing layer so handlers can answer in
-#: a wire-appropriate encoding (dicts for JSON peers, blobs for binary)
-BINARY_HINT = "@binary"
-
-_NEGOTIATE_OP = "__negotiate__"
-
-_B64_KEY = "__blob_b64__"
 _REF_KEY = "__blob__"
 
 
@@ -86,10 +67,8 @@ class Blob:
     """A raw byte payload riding inside a transport message.
 
     ``codec`` names the payload encoding (``"result-v1"``, ``"npy"``,
-    ``"json"``, ...) so receivers dispatch without sniffing.  In binary
-    frames the bytes travel verbatim; in JSON frames they degrade to a
-    base64 marker object, so every message stays expressible on every
-    negotiated framing.
+    ``"json"``, ...) so receivers dispatch without sniffing.  The bytes
+    travel verbatim as one segment of the frame body.
     """
 
     __slots__ = ("data", "codec")
@@ -134,37 +113,7 @@ def _check_cap(nbytes: int, obj: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Blob <-> JSON degradation (the negotiated fallback)
-# ----------------------------------------------------------------------
-def _jsonify(obj):
-    """Copy of ``obj`` with every :class:`Blob` as a base64 marker."""
-    if isinstance(obj, Blob):
-        return {
-            _B64_KEY: base64.b64encode(obj.data).decode("ascii"),
-            "codec": obj.codec,
-        }
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def _dejsonify(obj):
-    """Inverse of :func:`_jsonify`: base64 markers back to blobs."""
-    if isinstance(obj, dict):
-        if _B64_KEY in obj and len(obj) <= 2:
-            return Blob(
-                base64.b64decode(obj[_B64_KEY]), obj.get("codec", "bytes")
-            )
-        return {k: _dejsonify(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_dejsonify(v) for v in obj]
-    return obj
-
-
-# ----------------------------------------------------------------------
-# Binary frame codec
+# Frame codec
 # ----------------------------------------------------------------------
 def _strip_blobs(obj, blobs: list):
     """Copy of ``obj`` with blobs hoisted into ``blobs`` by index."""
@@ -181,23 +130,52 @@ def _strip_blobs(obj, blobs: list):
 def _inject_blobs(obj, blobs: list):
     if isinstance(obj, dict):
         if _REF_KEY in obj and len(obj) == 1:
-            return blobs[obj[_REF_KEY]]
+            index = obj[_REF_KEY]
+            if type(index) is not int or not 0 <= index < len(blobs):
+                raise ValueError(
+                    f"blob reference {index!r} outside the {len(blobs)}-segment table"
+                )
+            return blobs[index]
         return {k: _inject_blobs(v, blobs) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_inject_blobs(v, blobs) for v in obj]
     return obj
 
 
-def encode_frame(obj: dict, binary: bool) -> bytes:
-    """One message -> on-wire bytes in the requested framing.
+def _split_segments(meta, body: bytes, offset: int) -> list:
+    """The blobs ``meta``'s segment table cuts from ``body[offset:]``,
+    which the segments must cover exactly."""
+    table = meta.get("b") if isinstance(meta, dict) and "c" in meta else None
+    if not isinstance(table, list):
+        raise ValueError('meta is not a {"c": ..., "b": [...]} object')
+    blobs = []
+    for entry in table:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and type(entry[1]) is int
+            and entry[1] >= 0
+        ):
+            raise ValueError(f"segment {entry!r} is not a [codec, length] pair")
+        end = offset + entry[1]
+        if end > len(body):
+            raise ValueError(
+                f"segment table overruns the body ({end} > {len(body)} bytes)"
+            )
+        blobs.append(Blob(body[offset:end], entry[0]))
+        offset = end
+    if offset != len(body):
+        raise ValueError(f"{len(body) - offset} byte(s) follow the last segment")
+    return blobs
+
+
+def encode_frame(obj: dict) -> bytes:
+    """One message -> one on-wire frame.
 
     Raises :class:`FrameTooLarge` (naming the offending key and size)
     instead of emitting a frame the far end would refuse to read.
     """
-    if not binary:
-        line = json.dumps(_jsonify(obj), separators=(",", ":")).encode() + b"\n"
-        _check_cap(len(line), obj)
-        return line
     blobs: list[Blob] = []
     control = _strip_blobs(obj, blobs)
     meta = {
@@ -216,80 +194,75 @@ def encode_frame(obj: dict, binary: bool) -> bytes:
 
 
 def decode_binary_body(flags: int, meta_len: int, body: bytes) -> dict:
-    """Inverse of the binary arm of :func:`encode_frame`."""
+    """Inverse of :func:`encode_frame` after the header.
+
+    Raises ``ConnectionError`` for any body its meta does not describe
+    exactly: unknown flags, a corrupt or bloated deflate stream, a meta
+    document that is not ``{"c": {...}, "b": [[codec, length], ...]}``,
+    a blob reference outside the segment table, and segments that
+    overrun the body or leave bytes after the last one.
+    """
+    if flags & ~FLAG_DEFLATE:
+        raise ConnectionError(f"binary frame has unknown flags 0x{flags:02x}")
     if flags & FLAG_DEFLATE:
         inflater = zlib.decompressobj()
-        body = inflater.decompress(body, MAX_FRAME_BYTES)
-        if inflater.unconsumed_tail or not inflater.eof:
+        try:
+            body = inflater.decompress(body, MAX_FRAME_BYTES)
+        except zlib.error as exc:
+            raise ConnectionError(f"deflated transport frame is corrupt: {exc}") from None
+        if inflater.unconsumed_tail or inflater.unused_data or not inflater.eof:
             raise ConnectionError(
-                "deflated transport frame is truncated or inflates past "
-                f"the {MAX_FRAME_BYTES}-byte cap"
+                "deflated transport frame is truncated, has trailing bytes, "
+                f"or inflates past the {MAX_FRAME_BYTES}-byte cap"
             )
     if meta_len > len(body):
         raise ConnectionError(
             f"binary frame meta length {meta_len} exceeds body of {len(body)} bytes"
         )
-    meta = json.loads(body[:meta_len])
-    segments = meta.get("b", [])
-    blobs, offset = [], meta_len
-    for codec, length in segments:
-        end = offset + int(length)
-        if end > len(body):
-            raise ConnectionError(
-                f"binary frame segment table overruns the body "
-                f"({end} > {len(body)} bytes)"
-            )
-        blobs.append(Blob(body[offset:end], codec))
-        offset = end
-    obj = _inject_blobs(meta.get("c"), blobs)
-    if not isinstance(obj, dict):
-        raise ConnectionError(
-            f"expected an object frame, got {type(obj).__name__}"
-        )
+    try:
+        meta = json.loads(body[:meta_len])
+        blobs = _split_segments(meta, body, meta_len)
+        obj = _inject_blobs(meta["c"], blobs)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object frame, got {type(obj).__name__}")
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors included
+        raise ConnectionError(f"malformed binary frame: {exc}") from None
     return obj
 
 
 async def read_frame(reader: asyncio.StreamReader):
-    """Read one frame of either framing.
+    """Read one frame.
 
-    Returns ``(obj, is_binary, nbytes)`` or ``None`` on a clean EOF.
-    Torn frames (EOF mid-header or mid-body) raise ``ConnectionError``.
+    Returns ``(obj, nbytes)`` or ``None`` on a clean EOF between frames.
+    A stream that is not a frame, a frame torn by EOF mid-header or
+    mid-body, and a malformed body raise ``ConnectionError``.
     """
     try:
-        first = await reader.readexactly(1)
-    except asyncio.IncompleteReadError:
-        return None
-    if first == FRAME_MAGIC[:1]:
-        try:
-            header = first + await reader.readexactly(_HEADER.size - 1)
-            magic, flags, meta_len, body_len = _HEADER.unpack(header)
-            if magic != FRAME_MAGIC:
-                raise ConnectionError(
-                    f"bad binary frame magic {magic!r}"
-                )
-            if body_len > MAX_FRAME_BYTES:
-                raise ConnectionError(
-                    f"binary transport frame of {body_len} bytes exceeds "
-                    f"the {MAX_FRAME_BYTES}-byte cap"
-                )
-            body = await reader.readexactly(body_len)
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionError(
-                f"torn binary frame: connection closed after "
-                f"{len(exc.partial)} of {exc.expected} bytes"
-            ) from None
-        return decode_binary_body(flags, meta_len, body), True, _HEADER.size + body_len
-    try:
-        rest = await reader.readline()
-    except (asyncio.LimitOverrunError, ValueError):
-        raise ConnectionError("oversized transport frame")
-    line = first + rest
-    obj = _dejsonify(json.loads(line))
-    if not isinstance(obj, dict):
+        header = await reader.readexactly(_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
         raise ConnectionError(
-            f"expected a JSON object frame, got {type(obj).__name__}"
+            f"torn binary frame: connection closed after "
+            f"{len(exc.partial)} of {_HEADER.size} bytes"
+        ) from None
+    magic, flags, meta_len, body_len = _HEADER.unpack(header)
+    if magic != FRAME_MAGIC:
+        raise ConnectionError(f"not a transport frame: bad magic {magic!r}")
+    if body_len > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"binary transport frame of {body_len} bytes exceeds "
+            f"the {MAX_FRAME_BYTES}-byte cap"
         )
-    return obj, False, len(line)
+    nbytes = _HEADER.size + body_len
+    try:
+        body = await reader.readexactly(body_len)
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionError(
+            f"torn binary frame: connection closed after "
+            f"{_HEADER.size + len(exc.partial)} of {nbytes} bytes"
+        ) from None
+    return decode_binary_body(flags, meta_len, body), nbytes
 
 
 class Transport:
@@ -302,57 +275,52 @@ class Transport:
         pass
 
 
+async def _relay(obj: dict) -> dict:
+    """``obj`` as the far end of a socket reads it."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(encode_frame(obj))
+    reader.feed_eof()
+    return (await read_frame(reader))[0]
+
+
 class InProcessTransport(Transport):
-    """Direct dispatch to an async handler -- the degenerate transport."""
+    """Direct dispatch to an async handler -- the degenerate transport.
+
+    Request and response still pass through the frame codec, so only
+    frame-expressible messages survive, exactly as over a socket: blobs
+    stay blobs, tuples become lists, an oversized message raises
+    :class:`FrameTooLarge`.
+    """
 
     def __init__(self, handler) -> None:
         self.handler = handler
 
     async def call(self, request: dict) -> dict:
-        # round-trip through the JSON fallback framing so in-process
-        # behaves exactly like a JSON socket peer: only frame-expressible
-        # payloads survive either way (blobs degrade to base64 and back)
-        request = _dejsonify(json.loads(json.dumps(_jsonify(request))))
-        response = await self.handler(request)
-        return _dejsonify(json.loads(json.dumps(_jsonify(response))))
+        response = await self.handler(await _relay(request))
+        return await _relay(response)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InProcessTransport({self.handler!r})"
 
 
 class SocketTransport(Transport):
-    """Persistent socket client connection with framing negotiation.
+    """Persistent socket client connection.
 
     One request is in flight per transport at a time (an internal lock
     serializes callers); the scheduler fans out across *several*
     transports for parallelism.  A dead connection is re-opened once
-    per call before the error propagates.
-
-    ``binary="auto"`` (default) negotiates binary framing on each new
-    connection and falls back to JSON lines when the far end declines;
-    ``binary="never"`` speaks the PR-6 JSON wire format unconditionally.
-    An attached :class:`~repro.service.metrics.ServiceMetrics` receives
-    ``bytes_sent`` / ``bytes_received`` / ``frames_binary`` /
-    ``frames_json`` counts for every round trip.
+    per call before the error propagates.  An attached
+    :class:`~repro.service.metrics.ServiceMetrics` receives
+    ``frames_binary`` / ``bytes_sent`` / ``bytes_received`` counts for
+    every round trip.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        binary: str = "auto",
-        metrics=None,
-    ) -> None:
-        if binary not in ("auto", "never"):
-            raise ValueError(f"binary must be 'auto' or 'never', got {binary!r}")
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, metrics=None) -> None:
         self.host = host
         self.port = int(port)
-        self.binary = binary
         self.metrics = metrics
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
-        #: framing of the *current* connection; None = not yet negotiated
-        self._use_binary: bool | None = False if binary == "never" else None
         self._lock = asyncio.Lock()
 
     @classmethod
@@ -365,45 +333,28 @@ class SocketTransport(Transport):
         if self.metrics is not None:
             self.metrics.count(name, delta)
 
-    async def _connect(self) -> None:
+    async def _roundtrip(self, request: dict) -> dict:
         if self._writer is None or self._writer.is_closing():
             self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=MAX_FRAME_BYTES
+                self.host, self.port
             )
-            self._use_binary = False if self.binary == "never" else None
-
-    async def _send(self, obj: dict, binary: bool) -> dict:
-        frame = encode_frame(obj, binary)
-        self._count("frames_binary" if binary else "frames_json")
+        frame = encode_frame(request)
+        self._count("frames_binary")
         self._count("bytes_sent", len(frame))
         self._writer.write(frame)
         await self._writer.drain()
         read = await read_frame(self._reader)
         if read is None:
             raise ConnectionError("worker closed the connection mid-request")
-        response, _, nbytes = read
+        response, nbytes = read
         self._count("bytes_received", nbytes)
         return response
-
-    async def _roundtrip(self, request: dict) -> dict:
-        await self._connect()
-        if self._use_binary is None:
-            # first use of this connection: offer binary framing over a
-            # plain JSON line.  serve_socket answers at the framing
-            # layer; a plain JSON server answers unknown-op -- either
-            # response tells us what the far end accepts, and neither
-            # can hang a line-oriented reader.
-            hello = await self._send(
-                {"op": _NEGOTIATE_OP, "binary": True}, binary=False
-            )
-            self._use_binary = bool(hello.get("binary"))
-        return await self._send(request, self._use_binary)
 
     async def call(self, request: dict) -> dict:
         async with self._lock:
             try:
                 return await self._roundtrip(request)
-            except (ConnectionError, OSError, json.JSONDecodeError):
+            except OSError:  # ConnectionError included
                 # stale connection (worker restarted, idle timeout...):
                 # reconnect once, then let a second failure propagate
                 await self.close()
@@ -411,7 +362,6 @@ class SocketTransport(Transport):
 
     async def close(self) -> None:
         writer, self._reader, self._writer = self._writer, None, None
-        self._use_binary = False if self.binary == "never" else None
         if writer is not None:
             writer.close()
             try:
@@ -420,20 +370,22 @@ class SocketTransport(Transport):
                 pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SocketTransport({self.host}:{self.port}, binary={self.binary})"
+        return f"SocketTransport({self.host}:{self.port})"
 
 
-async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0, binary: bool = True):
-    """Serve ``handler`` (async dict -> dict) over the dual framing;
+def _error_reply(message) -> dict:
+    return {"ok": False, "kind": "error", "message": str(message)}
+
+
+async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0):
+    """Serve ``handler`` (async dict -> dict) over binary frames;
     returns ``(server, bound_port)``.  ``port=0`` binds an ephemeral
     port -- the test and CI lanes use that to avoid clashes.
 
-    ``binary=False`` keeps the server on JSON lines only: negotiation
-    offers are declined and binary frames are answered with an error,
-    which is exactly what an auto-negotiating client needs to fall
-    back.  Each request reaches the handler with a :data:`BINARY_HINT`
-    key describing its framing, so handlers can answer JSON peers with
-    dicts and binary peers with blobs.
+    A handler exception or an oversized response is answered with an
+    error frame and the connection keeps serving.  A stream that stops
+    parsing as frames gets one error frame and is then closed: its
+    frame boundaries are lost.
     """
 
     async def on_connection(reader, writer) -> None:
@@ -441,45 +393,20 @@ async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0, binary: 
             while True:
                 try:
                     read = await read_frame(reader)
-                except (json.JSONDecodeError, ConnectionError) as exc:
-                    writer.write(
-                        encode_frame({"ok": False, "message": str(exc)}, False)
-                    )
+                except ConnectionError as exc:
+                    writer.write(encode_frame(_error_reply(exc)))
                     await writer.drain()
                     break
                 if read is None:
                     break
-                request, is_binary, _ = read
-                if is_binary and not binary:
-                    response, is_binary = {
-                        "ok": False,
-                        "kind": "error",
-                        "message": "binary framing not enabled on this server",
-                    }, False
-                elif request.get("op") == _NEGOTIATE_OP:
-                    response = {
-                        "ok": True,
-                        "op": _NEGOTIATE_OP,
-                        "binary": bool(binary),
-                    }
-                else:
-                    request[BINARY_HINT] = is_binary
-                    try:
-                        response = await handler(request)
-                    except Exception as exc:  # handler bug: report, keep serving
-                        response = {
-                            "ok": False,
-                            "kind": "error",
-                            "message": f"{type(exc).__name__}: {exc}",
-                        }
-                # answer in the framing the request arrived in
                 try:
-                    frame = encode_frame(response, is_binary)
+                    response = await handler(read[0])
+                except Exception as exc:  # handler bug: report, keep serving
+                    response = _error_reply(f"{type(exc).__name__}: {exc}")
+                try:
+                    frame = encode_frame(response)
                 except FrameTooLarge as exc:
-                    frame = encode_frame(
-                        {"ok": False, "kind": "error", "message": str(exc)},
-                        is_binary,
-                    )
+                    frame = encode_frame(_error_reply(exc))
                 writer.write(frame)
                 await writer.drain()
         except (ConnectionError, OSError):  # pragma: no cover - peer vanished
@@ -491,8 +418,6 @@ async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0, binary: 
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    server = await asyncio.start_server(
-        on_connection, host, port, limit=MAX_FRAME_BYTES
-    )
+    server = await asyncio.start_server(on_connection, host, port)
     bound_port = server.sockets[0].getsockname()[1]
     return server, bound_port

@@ -14,10 +14,8 @@ understands six operations, each one message in, one out:
 * ``{"op": "has", "kind": "result"|"trace", "keys": [...]}`` -- batch
   existence probe against the worker's content-addressed stores.
 * ``{"op": "fetch", "kind": "result"|"trace", "key": ...}`` -- serve a
-  stored object by key.  On binary connections results travel as
-  compact ``result-v1`` blobs and traces as raw sidecar + ``.npy``
-  blobs; on JSON connections results degrade to serialized dicts
-  (the negotiated fallback) and trace blobs to base64.
+  stored object by key: a result as one compact ``result-v1`` blob, a
+  trace as its ``json`` sidecar blob plus its ``npy`` records blob.
 * ``{"op": "stats"}`` -- the worker's cache/trace-cache counters.
 
 Workers open the content-addressed stores by *root path*: co-located
@@ -40,7 +38,7 @@ from ..runner.serialize import RESULT_CODEC, result_to_bytes, result_to_dict
 from ..runner.spec import JobSpec
 from ..trace.cache import resolve_trace_cache, trace_key
 from .stores import PeerStore
-from .transport import BINARY_HINT, Blob, serve_socket
+from .transport import Blob, serve_socket
 
 __all__ = ["WorkerAgent", "serve_worker"]
 
@@ -123,18 +121,15 @@ class WorkerAgent:
     def _fetch(self, request: dict) -> dict:
         kind = request.get("kind", "result")
         key = request.get("key", "")
-        binary = bool(request.get(BINARY_HINT))
         if kind == "result":
             result = self.cache.get_by_key(key) if self.cache is not None else None
             if result is None:
                 return {"ok": False, "kind": "miss", "message": f"no result for {key}"}
-            if binary:
-                return {
-                    "ok": True,
-                    "key": key,
-                    "payload": Blob(result_to_bytes(result), RESULT_CODEC),
-                }
-            return {"ok": True, "key": key, "result": result_to_dict(result)}
+            return {
+                "ok": True,
+                "key": key,
+                "payload": Blob(result_to_bytes(result), RESULT_CODEC),
+            }
         if kind == "trace":
             pair = (
                 self.trace_cache.get_bytes(key)
@@ -283,18 +278,14 @@ async def serve_worker(
     port: int = 0,
     name: str | None = None,
     peers=None,
-    binary: bool = True,
 ):
     """Boot a socket worker agent; returns ``(server, port, agent)``.
 
     ``peers`` are transports to sibling workers (or a store node) whose
-    stores this worker may read through; ``binary=False`` pins the
-    served framing to JSON lines (clients fall back automatically).
+    stores this worker may read through.
     """
     agent = WorkerAgent(
         jobs=jobs, cache=cache, trace_cache=trace_cache, name=name, peers=peers
     )
-    server, bound_port = await serve_socket(
-        agent.handle, host=host, port=port, binary=binary
-    )
+    server, bound_port = await serve_socket(agent.handle, host=host, port=port)
     return server, bound_port, agent

@@ -1,8 +1,9 @@
 """The peer-replicated warm-store tier: worker ``has``/``fetch`` ops,
-:class:`PeerStore` read-through + self-healing, and the scheduler's
-``remote`` outcome path (PR 10 tentpole)."""
+:class:`PeerStore` read-through + self-healing, verification of what
+peers return, and the scheduler's ``remote`` outcome path."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.runner.serialize import (
     result_from_bytes,
     result_from_dict,
     result_to_bytes,
+    result_to_dict,
 )
 from repro.service import (
     InProcessTransport,
@@ -21,7 +23,8 @@ from repro.service import (
     ServiceMetrics,
     WorkerAgent,
 )
-from repro.service.transport import BINARY_HINT, Blob
+from repro.service.stores import decode_fetched_result, result_matches_spec
+from repro.service.transport import Blob
 from repro.trace.cache import TraceCache, trace_key
 
 pytestmark = pytest.mark.service
@@ -73,29 +76,12 @@ class TestWorkerStoreOps:
         )
         assert response == {"ok": True, "worker": "store0", "present": [key]}
 
-    def test_fetch_answers_json_peers_with_dicts(self, tmp_path, good_result):
-        cache = ResultCache(tmp_path / "store")
-        cache.put(GOOD, good_result)
-        agent = WorkerAgent(cache=cache, trace_cache=False)
-        response = asyncio.run(
-            agent.handle({"op": "fetch", "kind": "result", "key": GOOD.cache_key()})
-        )
-        assert response["ok"]
-        assert result_from_dict(response["result"]) == good_result
-
     def test_fetch_answers_binary_peers_with_blobs(self, tmp_path, good_result):
         cache = ResultCache(tmp_path / "store")
         cache.put(GOOD, good_result)
         agent = WorkerAgent(cache=cache, trace_cache=False)
         response = asyncio.run(
-            agent.handle(
-                {
-                    "op": "fetch",
-                    "kind": "result",
-                    "key": GOOD.cache_key(),
-                    BINARY_HINT: True,
-                }
-            )
+            agent.handle({"op": "fetch", "kind": "result", "key": GOOD.cache_key()})
         )
         assert response["ok"]
         blob = response["payload"]
@@ -112,6 +98,93 @@ class TestWorkerStoreOps:
             "kind": "miss",
             "message": "no result for nope",
         }
+
+
+class TestFetchedResultDecoding:
+    @pytest.mark.parametrize("shape", ["result-dict", "other-codec", "no-payload"])
+    def test_anything_but_a_result_v1_blob_is_refused(self, shape, good_result):
+        response = {
+            "result-dict": {"ok": True, "result": result_to_dict(good_result)},
+            "other-codec": {
+                "ok": True,
+                "payload": Blob(result_to_bytes(good_result), "bytes"),
+            },
+            "no-payload": {"ok": True},
+        }[shape]
+        with pytest.raises(ValueError, match=RESULT_CODEC):
+            decode_fetched_result(response)
+
+    def test_spec_check_resolves_name_aliases(self, good_result):
+        alias = replace(GOOD, lock_scheme="QUEUING", consistency="sequential")
+        assert result_matches_spec(good_result, alias)
+        assert not result_matches_spec(good_result, replace(GOOD, consistency="wo"))
+
+
+def _lying_peer(result):
+    """A peer that answers every fetch, whatever the key, with ``result``."""
+
+    async def handler(request):
+        return {
+            "ok": True,
+            "key": request["key"],
+            "payload": Blob(result_to_bytes(result), RESULT_CODEC),
+        }
+
+    return InProcessTransport(handler)
+
+
+class TestPeerVerification:
+    #: each lie differs from the fullconn/queuing/sc spec in one label
+    LIES = {
+        "program": {"program": "qsort"},
+        "lock_scheme": {"lock_scheme": "ttas"},
+        "consistency": {"consistency": "wo"},
+        "n_procs": {"n_procs": 2},
+    }
+
+    @pytest.mark.parametrize("label", sorted(LIES))
+    def test_lying_peer_is_rejected_not_healed(self, tmp_path, good_result, label):
+        spec = replace(GOOD, n_procs=good_result.n_procs)
+        lie = replace(good_result, **self.LIES[label])
+        local = ResultCache(tmp_path / "local")
+        metrics = ServiceMetrics()
+        store = PeerStore([_lying_peer(lie)], cache=local, metrics=metrics)
+        key = spec.cache_key()
+        assert asyncio.run(store.fetch_result(key, spec=spec)) is None
+        assert local.get_by_key(key) is None
+        assert metrics.remote_rejects == 1
+        assert metrics.remote_hits == 0
+        assert metrics.remote_misses == 1
+
+    def test_honest_peer_after_a_liar_still_serves(self, tmp_path, good_result):
+        honest_cache = ResultCache(tmp_path / "honest")
+        honest_cache.put(GOOD, good_result)
+        honest = WorkerAgent(cache=honest_cache, trace_cache=False)
+        lie = replace(good_result, program="qsort", lock_scheme="ttas", consistency="wo")
+        local = ResultCache(tmp_path / "local")
+        metrics = ServiceMetrics()
+        store = PeerStore(
+            [_lying_peer(lie), InProcessTransport(honest.handle)],
+            cache=local,
+            metrics=metrics,
+        )
+        key = GOOD.cache_key()
+        assert asyncio.run(store.fetch_result(key, spec=GOOD)) == good_result
+        assert local.get_by_key(key) == good_result
+        assert (metrics.remote_rejects, metrics.remote_hits) == (1, 1)
+
+    def test_scheduler_simulates_instead_of_serving_a_lie(self, tmp_path, good_result):
+        lie = replace(good_result, program="qsort", lock_scheme="ttas", consistency="wo")
+        scheduler = Scheduler(
+            cache=ResultCache(tmp_path / "front"),
+            trace_cache=False,
+            peers=[_lying_peer(lie)],
+        )
+        out = asyncio.run(scheduler.submit(GOOD))
+        assert out.status == "ok"
+        assert out.outcome == good_result
+        assert scheduler.metrics.remote_rejects == 1
+        assert scheduler.cache.get(GOOD) == good_result
 
 
 class TestPeerStore:

@@ -1,15 +1,16 @@
-"""Transports and the worker agent: in-process dispatch, the
-newline-delimited JSON socket, reconnect semantics, and the four
-worker operations (ping / run / run_shard / stats)."""
+"""Transports and the worker agent: in-process dispatch through the
+frame codec, the binary-framed socket, reconnect semantics, and the
+four worker operations (ping / run / run_shard / stats)."""
 
 import asyncio
-import json
 
 import pytest
 
 from repro.core.experiment import run_experiment
 from repro.runner import JobSpec, ResultCache
 from repro.service import (
+    Blob,
+    FrameTooLarge,
     InProcessTransport,
     Scheduler,
     SocketTransport,
@@ -17,6 +18,8 @@ from repro.service import (
     serve_socket,
     serve_worker,
 )
+from repro.service import transport as transport_mod
+from repro.service.transport import read_frame
 
 pytestmark = pytest.mark.service
 
@@ -25,19 +28,30 @@ FAULTY = JobSpec(program="does-not-exist", scale=0.05)
 
 
 class TestInProcessTransport:
-    def test_round_trips_through_json(self):
+    def test_round_trips_through_the_frame_codec(self):
+        blob = Blob(b"\x00\xff", "npy")
+
         async def handler(request):
-            # tuples only survive if the transport JSON-normalizes both
-            # directions, like the socket does
-            assert isinstance(request["values"], list)
-            return {"ok": True, "echo": request["values"], "pair": (1, 2)}
+            # the handler reads what a socket peer would: tuples arrive
+            # as lists (the frame's meta is JSON), blobs as blobs
+            assert request == {"op": "echo", "values": [3, 4], "blob": blob}
+            return {"ok": True, "echo": request["values"], "pair": (1, 2), "blob": blob}
 
         async def scenario():
             t = InProcessTransport(handler)
-            return await t.call({"op": "echo", "values": (3, 4)})
+            return await t.call({"op": "echo", "values": (3, 4), "blob": blob})
 
         response = asyncio.run(scenario())
-        assert response == {"ok": True, "echo": [3, 4], "pair": [1, 2]}
+        assert response == {"ok": True, "echo": [3, 4], "pair": [1, 2], "blob": blob}
+
+    def test_refuses_what_a_socket_would_refuse(self, monkeypatch):
+        async def handler(request):  # pragma: no cover - never reached
+            return {"ok": True}
+
+        monkeypatch.setattr(transport_mod, "MAX_FRAME_BYTES", 64)
+        t = InProcessTransport(handler)
+        with pytest.raises(FrameTooLarge, match="key='k'"):
+            asyncio.run(t.call({"key": "k", "x": "y" * 100}))
 
 
 class TestSocketTransport:
@@ -87,23 +101,32 @@ class TestSocketTransport:
         assert second == {"ok": True, "echo": 2}
 
     def test_malformed_frame_reported_not_fatal(self):
-        async def handler(request):  # pragma: no cover - never reached
-            return {"ok": True}
+        async def handler(request):
+            return {"ok": True, "echo": request["n"]}
 
         async def scenario():
             server, port = await serve_socket(handler)
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b"this is not json\n")
+            writer.write(b"this is not a transport frame\n")
             await writer.drain()
-            line = await reader.readline()
+            reply = await read_frame(reader)
+            hangup = await read_frame(reader)
             writer.close()
             await writer.wait_closed()
+            # the server itself keeps serving fresh connections
+            transport = SocketTransport("127.0.0.1", port)
+            after = await transport.call({"n": 5})
+            await transport.close()
             server.close()
             await server.wait_closed()
-            return json.loads(line)
+            return reply, hangup, after
 
-        response = asyncio.run(scenario())
+        reply, hangup, after = asyncio.run(scenario())
+        response, _ = reply
         assert response["ok"] is False
+        assert "not a transport frame" in response["message"]
+        assert hangup is None
+        assert after == {"ok": True, "echo": 5}
 
 
 class TestWorkerAgent:

@@ -1,20 +1,21 @@
-"""Property suite for the binary wire framing (PR 10 satellite).
+"""Property suite for the binary wire framing.
 
 Three families of properties:
 
 * **Round trip**: any frame-expressible message survives
-  ``encode_frame`` -> ``read_frame`` bit-exactly, on either framing,
-  blobs included, deflated or not.
-* **Torn frames**: any strict prefix of a binary frame followed by EOF
-  raises ``ConnectionError`` (never hangs, never returns garbage), and
-  the error says how many bytes arrived.
-* **Negotiation**: an auto client speaks binary to a binary server and
-  falls back to JSON lines against a JSON-only server, transparently --
-  the response payload is identical either way.
+  ``encode_frame`` -> ``read_frame`` bit-exactly, blobs included,
+  deflated or not, and a socket round trip counts its frames and bytes.
+* **Torn frames**: any strict prefix of a frame followed by EOF raises
+  ``ConnectionError`` (never hangs, never returns garbage), and the
+  error says how many bytes arrived.
+* **Malformed frames**: a complete frame whose meta document does not
+  describe its body exactly raises ``ConnectionError``, and a server
+  answers it with an error frame instead of dropping the connection
+  unannounced.
 
-Plus the frame-cap satellite: an oversized frame must be refused with
-an error naming the offending key and the frame size, on both the
-client (encode) and server (response) paths.
+Plus the frame cap: an oversized frame must be refused with an error
+naming the offending key and the frame size, on both the client
+(encode) and server (response) paths.
 """
 
 import asyncio
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service import ServiceMetrics
 from repro.service import transport as transport_mod
 from repro.service.transport import (
     FLAG_DEFLATE,
@@ -57,12 +59,19 @@ def _decode(frame: bytes):
     return asyncio.run(scenario())
 
 
+def _frame(meta, tail: bytes = b"", flags: int = 0) -> bytes:
+    """A hand-built frame: ``meta`` (JSON-encoded unless bytes) + ``tail``."""
+    meta_bytes = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+    body = meta_bytes + tail
+    return _HEADER.pack(FRAME_MAGIC, flags, len(meta_bytes), len(body)) + body
+
+
 # ----------------------------------------------------------------------
 # Hypothesis strategies: frame-expressible messages
 # ----------------------------------------------------------------------
 _keys = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=12
-).filter(lambda k: k not in ("__blob__", "__blob_b64__"))
+).filter(lambda k: k != "__blob__")
 
 _scalars = st.one_of(
     st.none(),
@@ -93,20 +102,9 @@ class TestRoundTrip:
     @given(obj=_messages)
     @settings(max_examples=150, deadline=None)
     def test_binary_frames_round_trip_exactly(self, obj):
-        frame = encode_frame(obj, binary=True)
-        assert frame[:1] == FRAME_MAGIC[:1]
-        decoded, is_binary, nbytes = _decode(frame)
-        assert is_binary
-        assert nbytes == len(frame)
-        assert decoded == obj
-
-    @given(obj=_messages)
-    @settings(max_examples=150, deadline=None)
-    def test_json_frames_round_trip_exactly(self, obj):
-        frame = encode_frame(obj, binary=False)
-        assert frame.endswith(b"\n") and frame[:1] != FRAME_MAGIC[:1]
-        decoded, is_binary, nbytes = _decode(frame)
-        assert not is_binary
+        frame = encode_frame(obj)
+        assert frame[:4] == FRAME_MAGIC
+        decoded, nbytes = _decode(frame)
         assert nbytes == len(frame)
         assert decoded == obj
 
@@ -114,30 +112,30 @@ class TestRoundTrip:
         # highly compressible payload well past the deflate threshold
         blob = Blob(b"\x07" * 100_000, "npy")
         obj = {"op": "fetch", "key": "k" * 64, "payload": blob}
-        frame = encode_frame(obj, binary=True)
+        frame = encode_frame(obj)
         _, flags, _, _ = _HEADER.unpack(frame[: _HEADER.size])[0:4]
         assert flags & FLAG_DEFLATE
         assert len(frame) < len(blob.data) // 10
-        decoded, is_binary, _ = _decode(frame)
-        assert is_binary and decoded == obj
+        decoded, _ = _decode(frame)
+        assert decoded == obj
 
     def test_incompressible_body_skips_deflate(self):
         obj = {"payload": Blob(os.urandom(4096), "bytes")}
-        frame = encode_frame(obj, binary=True)
+        frame = encode_frame(obj)
         flags = frame[4]
         assert not flags & FLAG_DEFLATE
-        decoded, _, _ = _decode(frame)
+        decoded, _ = _decode(frame)
         assert decoded == obj
 
     @given(objs=st.lists(_messages, min_size=2, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_concatenated_frames_stay_delimited(self, objs):
-        # mixed framings back to back on one stream: each frame must
-        # consume exactly its own bytes
+        # frames back to back on one stream: each frame must consume
+        # exactly its own bytes
         async def scenario():
             reader = asyncio.StreamReader()
-            for n, obj in enumerate(objs):
-                reader.feed_data(encode_frame(obj, binary=bool(n % 2)))
+            for obj in objs:
+                reader.feed_data(encode_frame(obj))
             reader.feed_eof()
             out = []
             while True:
@@ -153,7 +151,7 @@ class TestTornFrames:
     @given(obj=_messages, data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_any_binary_prefix_is_rejected(self, obj, data):
-        frame = encode_frame(obj, binary=True)
+        frame = encode_frame(obj)
         cut = data.draw(st.integers(min_value=1, max_value=len(frame) - 1))
         with pytest.raises(ConnectionError, match="torn binary frame"):
             _decode(frame[:cut])
@@ -162,7 +160,7 @@ class TestTornFrames:
         assert _decode(b"") is None
 
     def test_torn_frame_error_reports_byte_counts(self):
-        frame = encode_frame({"op": "ping"}, binary=True)
+        frame = encode_frame({"op": "ping"})
         with pytest.raises(ConnectionError, match=r"\d+ of \d+ bytes"):
             _decode(frame[: len(frame) - 1])
 
@@ -174,9 +172,7 @@ class TestTornFrames:
             _decode(header)
 
     def test_segment_table_overrun_is_refused(self):
-        meta = json.dumps({"c": {"x": {"__blob__": 0}}, "b": [["bytes", 999]]}).encode()
-        body = meta + b"short"
-        frame = _HEADER.pack(FRAME_MAGIC, 0, len(meta), len(body)) + body
+        frame = _frame({"c": {"x": {"__blob__": 0}}, "b": [["bytes", 999]]}, b"short")
         with pytest.raises(ConnectionError, match="overruns"):
             _decode(frame)
 
@@ -190,26 +186,108 @@ class TestTornFrames:
             decode_binary_body(FLAG_DEFLATE, 4, packed[: len(packed) // 2])
 
 
-class TestNegotiation:
-    def _echo_server(self, binary: bool):
-        async def handler(request):
-            return {
-                "ok": True,
-                "echo": request.get("value"),
-                "blob": request.get("blob"),
-            }
+def _deflated(meta: dict, trailer: bytes) -> bytes:
+    """A frame whose deflated body is followed by ``trailer``."""
+    meta_bytes = json.dumps(meta).encode()
+    body = zlib.compress(meta_bytes) + trailer
+    return _HEADER.pack(FRAME_MAGIC, FLAG_DEFLATE, len(meta_bytes), len(body)) + body
 
-        return serve_socket(handler, binary=binary)
 
-    def _call_through(self, server_binary: bool, client_binary: str = "auto"):
+#: complete frames whose body its meta does not describe exactly, and
+#: the error each must raise
+MALFORMED = {
+    "negative-segment-length": (
+        _frame({"c": {"x": {"__blob__": 0}}, "b": [["bytes", -3]]}, b"abc"),
+        r"not a \[codec, length\] pair",
+    ),
+    "negative-blob-index": (
+        _frame({"c": {"x": {"__blob__": -1}}, "b": [["bytes", 3]]}, b"abc"),
+        "blob reference -1",
+    ),
+    "blob-index-out-of-range": (
+        _frame({"c": {"x": {"__blob__": 5}}, "b": []}),
+        "blob reference 5",
+    ),
+    "non-integer-blob-index": (
+        _frame({"c": {"x": {"__blob__": "0"}}, "b": [["bytes", 3]]}, b"abc"),
+        "blob reference '0'",
+    ),
+    "bytes-after-last-segment": (
+        _frame({"c": {"x": 1}, "b": []}, b"junk"),
+        r"4 byte\(s\) follow the last segment",
+    ),
+    "segment-not-a-pair": (
+        _frame({"c": {"x": {"__blob__": 0}}, "b": [["bytes"]]}, b"abc"),
+        r"not a \[codec, length\] pair",
+    ),
+    "non-object-meta": (_frame([1, 2]), "meta is not"),
+    "meta-without-segment-table": (_frame({"c": {"x": 1}}), "meta is not"),
+    "meta-not-json": (_frame(b"{not json"), "malformed binary frame"),
+    "control-not-an-object": (
+        _frame({"c": [1], "b": []}),
+        "expected an object frame",
+    ),
+    "unknown-flags": (_frame({"c": {}, "b": []}, flags=0x02), "unknown flags"),
+    "corrupt-deflate-stream": (
+        _frame(b"{}", b"not a deflate stream", flags=FLAG_DEFLATE),
+        "corrupt",
+    ),
+    "bytes-after-deflate-stream": (
+        _deflated({"c": {}, "b": []}, b"junk"),
+        "trailing bytes",
+    ),
+}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_body_is_refused(self, case):
+        frame, message = MALFORMED[case]
+        with pytest.raises(ConnectionError, match=message):
+            _decode(frame)
+
+    def test_server_answers_malformed_frame_with_an_error_frame(self):
+        # the server must reply in-band (then hang up: the stream's frame
+        # boundaries are lost), not die with an unhandled exception
+        async def handler(request):  # pragma: no cover - never reached
+            return {"ok": True}
+
         async def scenario():
-            server, port = await self._echo_server(server_binary)
-            t = SocketTransport("127.0.0.1", port, binary=client_binary)
+            server, port = await serve_socket(handler)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
-                response = await t.call(
-                    {"op": "echo", "value": 17, "blob": Blob(b"\x00\xff", "bytes")}
-                )
-                return response, t._use_binary
+                writer.write(MALFORMED["blob-index-out-of-range"][0])
+                await writer.drain()
+                return await read_frame(reader), await read_frame(reader)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+        reply, after = asyncio.run(scenario())
+        assert reply is not None, "server hung up without an error frame"
+        assert reply[0]["ok"] is False
+        assert "blob reference 5" in reply[0]["message"]
+        assert after is None
+
+
+class TestNegotiation:
+    """Nothing is negotiated any more: a default client speaks binary
+    frames from its first byte, with no hello round trip before it."""
+
+    REQUEST = {"op": "echo", "value": 17, "blob": Blob(b"\x00\xff", "bytes")}
+
+    def _call_through(self, request):
+        async def handler(request):
+            return {"ok": True, "echo": request["value"], "blob": request["blob"]}
+
+        async def scenario():
+            server, port = await serve_socket(handler)
+            metrics = ServiceMetrics()
+            t = SocketTransport("127.0.0.1", port, metrics=metrics)
+            try:
+                return await t.call(dict(request)), metrics
             finally:
                 await t.close()
                 server.close()
@@ -218,76 +296,17 @@ class TestNegotiation:
         return asyncio.run(scenario())
 
     def test_auto_client_binary_server_goes_binary(self):
-        response, use_binary = self._call_through(server_binary=True)
-        assert use_binary is True
-        assert response["echo"] == 17
-        assert response["blob"] == Blob(b"\x00\xff", "bytes")
-
-    def test_auto_client_falls_back_to_json_lines(self):
-        # a JSON-only server declines the offer; the same payload still
-        # round-trips (blobs degrade to base64 markers on the wire)
-        response, use_binary = self._call_through(server_binary=False)
-        assert use_binary is False
-        assert response["echo"] == 17
-        assert response["blob"] == Blob(b"\x00\xff", "bytes")
-
-    def test_never_client_speaks_json_to_binary_server(self):
-        response, use_binary = self._call_through(
-            server_binary=True, client_binary="never"
-        )
-        assert use_binary is False
-        assert response["echo"] == 17
-        assert response["blob"] == Blob(b"\x00\xff", "bytes")
-
-    def test_plain_json_server_without_negotiation_support(self):
-        # a PR-6-era server: newline JSON, no __negotiate__ handling.
-        # The unknown-op error must read as a decline, not a failure.
-        async def scenario():
-            async def on_connection(reader, writer):
-                while line := await reader.readline():
-                    request = json.loads(line)
-                    if request.get("op") == "echo":
-                        body = {"ok": True, "echo": request["value"]}
-                    else:
-                        body = {"ok": False, "message": "unknown op"}
-                    writer.write(json.dumps(body).encode() + b"\n")
-                    await writer.drain()
-
-            server = await asyncio.start_server(on_connection, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            t = SocketTransport("127.0.0.1", port)
-            try:
-                return await t.call({"op": "echo", "value": 3}), t._use_binary
-            finally:
-                await t.close()
-                server.close()
-                await server.wait_closed()
-
-        response, use_binary = asyncio.run(scenario())
-        assert use_binary is False
-        assert response == {"ok": True, "echo": 3}
+        response, metrics = self._call_through(self.REQUEST)
+        assert response == {"ok": True, "echo": 17, "blob": Blob(b"\x00\xff", "bytes")}
+        assert metrics.frames_binary == 1
 
     def test_transport_metrics_count_frames_and_bytes(self):
-        from repro.service import ServiceMetrics
-
-        async def scenario():
-            server, port = await self._echo_server(True)
-            metrics = ServiceMetrics()
-            t = SocketTransport("127.0.0.1", port, metrics=metrics)
-            try:
-                await t.call({"op": "echo", "value": 1})
-                return metrics
-            finally:
-                await t.close()
-                server.close()
-                await server.wait_closed()
-
-        metrics = asyncio.run(scenario())
-        # one JSON hello + one binary request
-        assert metrics.frames_json == 1
+        response, metrics = self._call_through(self.REQUEST)
+        # one binary request, no hello: the byte counts are exactly the
+        # request frame and the response frame
         assert metrics.frames_binary == 1
-        assert metrics.bytes_sent > 0
-        assert metrics.bytes_received > 0
+        assert metrics.bytes_sent == len(encode_frame(self.REQUEST))
+        assert metrics.bytes_received == len(encode_frame(response))
 
 
 class TestFrameCap:
@@ -299,28 +318,22 @@ class TestFrameCap:
         # deflate must not be able to rescue the frame
         obj = {"op": "fetch", "key": "deadbeef", "payload": Blob(os.urandom(4096))}
         with pytest.raises(FrameTooLarge) as err:
-            encode_frame(obj, binary=True)
+            encode_frame(obj)
         message = str(err.value)
         assert "key='deadbeef'" in message
         assert "op='fetch'" in message
         assert "1024-byte cap" in message
         assert "bytes" in message
 
-    def test_json_cap_names_key_and_size(self, monkeypatch):
-        monkeypatch.setattr(transport_mod, "MAX_FRAME_BYTES", 512)
-        obj = {"key": "cafe", "blob": Blob(b"\x02" * 2048)}
-        with pytest.raises(FrameTooLarge, match=r"key='cafe'.*512-byte cap"):
-            encode_frame(obj, binary=False)
-
     def test_unkeyed_frame_still_identified(self, monkeypatch):
         monkeypatch.setattr(transport_mod, "MAX_FRAME_BYTES", 64)
         with pytest.raises(FrameTooLarge, match="unkeyed frame"):
-            encode_frame({"x": "y" * 100}, binary=False)
+            encode_frame({"x": "y" * 100})
 
     def test_shard_frames_identified_by_payload_count(self, monkeypatch):
         monkeypatch.setattr(transport_mod, "MAX_FRAME_BYTES", 64)
         with pytest.raises(FrameTooLarge, match=r"shard of 3 payload\(s\)"):
-            encode_frame({"payloads": [{"a": 1}, {"b": 2}, {"c": "d" * 80}]}, False)
+            encode_frame({"payloads": [{"a": 1}, {"b": 2}, {"c": "d" * 80}]})
 
     def test_server_reports_oversized_response_instead_of_dying(self, monkeypatch):
         # the response path: the handler's answer exceeds the cap, the
