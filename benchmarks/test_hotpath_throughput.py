@@ -74,7 +74,7 @@ from repro.consistency import SEQUENTIAL
 from repro.machine.config import MachineConfig
 from repro.machine.system import System
 from repro.sync import QueuingLockManager
-from repro.trace.layout import PRIVATE_BASE, AddressLayout
+from repro.trace.layout import PRIVATE_BASE, SHARED_BASE, AddressLayout
 from repro.trace.records import IBLOCK, READ, RECORD_DTYPE, WRITE, Trace, TraceSet
 from repro.workloads.registry import BENCHMARK_ORDER, generate_trace
 
@@ -347,22 +347,25 @@ SPIN_CELLS = {
 }
 
 SPIN_PROCS = 4
-SPIN_SPAN = 64  # private working-set lines per processor
+SPIN_SPAN = 64  # working-set lines per processor
 
 
 def _make_contended(name: str, iters: int, hot: int, reads: int):
     """Four processors contending on one shared lock; the critical
-    sections are dense private hit loops (compact addresses keep the
-    kernel's columnar retirement on its dense-scatter path)."""
+    sections are dense hit loops over per-processor code and working
+    sets.  The code sits at the top of the code region and the working
+    sets at the bottom of the shared region: compact line addresses keep
+    the kernel's columnar retirement on its dense-scatter path while
+    code and data stay in their own regions."""
     from repro.trace.builder import TraceBuilder
 
     layout = AddressLayout(n_procs=SPIN_PROCS)
     lock = layout.alloc_lock()
     traces = []
     for p in range(SPIN_PROCS):
-        b = TraceBuilder(p, layout, program=name, check=False)
-        base = layout.alloc_private(p, (SPIN_SPAN + 16) * 16)
-        code = base + SPIN_SPAN * 16
+        b = TraceBuilder(p, layout, program=name)
+        code = SHARED_BASE - (p + 1) * 16 * 16
+        base = layout.alloc_shared(SPIN_SPAN * 16)
         for j in range(SPIN_SPAN):  # warm: later reads all hit
             b.read(base + 16 * j)
         for _ in range(iters):

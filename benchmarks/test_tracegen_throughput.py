@@ -113,7 +113,7 @@ def _measure_emission(ts):
 
     def scalar():
         for proc, proc_rows in enumerate(rows):
-            b = TraceBuilder(proc, layout, program=ts.program, check=False)
+            b = TraceBuilder(proc, layout, program=ts.program)
             for kind, addr, arg, cycles in proc_rows:
                 if kind == IBLOCK:
                     b.block(arg, cycles, addr)
@@ -130,11 +130,10 @@ def _measure_emission(ts):
             b.finish()
 
     def bulk():
-        # check=False bulk emission defers the *full* validator to
-        # finish(); that cost is charged to the bulk side, as in
+        # finish() validates the whole trace on both sides, as in
         # production generation
         for proc, recs in enumerate(per_proc):
-            b = TraceBuilder(proc, layout, program=ts.program, check=False)
+            b = TraceBuilder(proc, layout, program=ts.program)
             b.append_records(recs)
             b.finish()
 
@@ -262,8 +261,8 @@ def test_tracegen_throughput():
             "scalar replays the same workload record-by-record through "
             "the per-record builder API; the emission cell streams one "
             "real traceset's records through both builder APIs in "
-            "isolation (bulk side pays its deferred finish-time "
-            "validation); the cache cells time fresh generation against "
+            "isolation (both sides pay finish-time validation); the "
+            "cache cells time fresh generation against "
             "warm mmap loads from a TraceCache; pre_bulk_seconds is the "
             "frozen pre-bulk-path generation time, carried forward"
         ),

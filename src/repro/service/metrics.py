@@ -118,7 +118,7 @@ class ServiceMetrics:
     # -- store tier ----------------------------------------------------
     remote_hits: int = 0  # objects served by a peer store, not simulated
     remote_misses: int = 0  # peer consults that found nothing
-    remote_rejects: int = 0  # peer answers refused: result does not match its spec
+    remote_rejects: int = 0  # peer answers refused: wrong spec or key, or an invalid trace
     # -- backpressure / priority lanes ---------------------------------
     shed: int = 0  # requests refused at the queue-depth bound (503s)
     priority_high: int = 0  # requests admitted on the high lane
@@ -206,7 +206,7 @@ class ServiceMetrics:
         counter("shards_dispatched_total", self.shards_dispatched, "Sweep shards dispatched to workers")
         counter("remote_hits_total", self.remote_hits, "Objects served by a peer store instead of simulating")
         counter("remote_misses_total", self.remote_misses, "Peer store consults that found nothing")
-        counter("remote_rejects_total", self.remote_rejects, "Peer store answers refused because the result does not match its spec")
+        counter("remote_rejects_total", self.remote_rejects, "Peer store answers refused: wrong spec or key, or an invalid trace")
         counter("shed_total", self.shed, "Requests refused at the queue-depth bound")
         counter("priority_high_total", self.priority_high, "Requests admitted on the high-priority lane")
         counter("worker_failures_total", self.worker_failures, "Shard dispatches lost to a dead worker")

@@ -18,9 +18,12 @@ Results travel as compact ``result-v1`` blobs, traces as their raw
 checked against the spec it was asked for before it is healed or
 served: a peer whose result names another program, lock scheme,
 consistency model or processor count is skipped and counted in
-``remote_rejects``.  A dead or stale peer is skipped, never fatal: the
-store tier is an optimization layer on top of simulation, and
-simulation always remains the fallback.
+``remote_rejects``.  A fetched trace is validated before it is
+committed (:meth:`~repro.trace.cache.TraceCache.put_bytes`); a peer
+whose trace fails is skipped and counted the same way.  A dead or
+stale peer is skipped, never fatal: the store tier is an optimization
+layer on top of simulation, and simulation always remains the
+fallback.
 """
 
 from __future__ import annotations
@@ -148,6 +151,8 @@ class PeerStore:
 
         Returns ``True`` when the object was replicated locally (the
         caller then loads it with a plain cache lookup, mmap and all).
+        A peer whose object does not match the key or fails trace
+        validation is skipped and counted in ``remote_rejects``.
         """
         if self.trace_cache is None:
             return False
@@ -161,8 +166,13 @@ class PeerStore:
                 meta, records = response["meta"], response["records"]
                 if not isinstance(meta, Blob) or not isinstance(records, Blob):
                     continue
-                self.trace_cache.put_bytes(key, meta.data, records.data)
             except Exception:
+                continue
+            try:
+                self.trace_cache.put_bytes(key, meta.data, records.data)
+            except (ValueError, KeyError, TypeError):
+                # malformed sidecar, undecodable or invalid records
+                self._count("remote_rejects")
                 continue
             self._count("remote_hits")
             return True

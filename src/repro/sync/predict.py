@@ -54,8 +54,8 @@ import numpy as np
 from ..machine.buffers import LOCK_INVAL, LOCK_MEM, LOCK_READ, LOCK_RFO, LOCK_XFER
 from ..machine.config import MachineConfig
 from ..trace.layout import PRIVATE_BASE, SHARED_BASE
-from ..trace.records import LOCK, READ, REP_STRIDE, UNLOCK, WRITE
-from ..trace.stats import lock_holds
+from ..trace.records import READ, REP_STRIDE, WRITE
+from ..trace.validate import critical_sections
 
 __all__ = [
     "LockProfile",
@@ -114,33 +114,38 @@ class LockProfile:
 
 def profile_locks(traceset) -> dict[int, LockProfile]:
     """Per-lock ideal statistics: the predictor's entire trace input."""
-    holds_by_lock: dict[int, dict[int, list]] = {}
+    sections: dict[int, dict[int, np.ndarray]] = {}
     work = {t.proc: int(t.records["cycles"].astype(np.int64).sum()) for t in traceset}
     for trace in traceset:
-        for h in lock_holds(trace):
-            holds_by_lock.setdefault(h.lock_id, {}).setdefault(trace.proc, []).append(h)
+        # group the rows by lock, acquire order kept within a lock
+        cs = critical_sections(trace)
+        cs = cs[np.argsort(cs["lock"], kind="stable")]
+        locks, first = np.unique(cs["lock"], return_index=True)
+        for lock_id, rows in zip(locks.tolist(), np.split(cs, first[1:])):
+            sections.setdefault(lock_id, {})[trace.proc] = rows
 
     profiles: dict[int, LockProfile] = {}
-    for lock_id, by_proc in sorted(holds_by_lock.items()):
-        n_acq = sum(len(hs) for hs in by_proc.values())
-        hold_total = sum(h.duration for hs in by_proc.values() for h in hs)
-        nested = sum(1 for hs in by_proc.values() for h in hs if h.nested)
-        gaps: list[int] = []
-        for proc, hs in by_proc.items():
-            hs.sort(key=lambda h: h.start)
-            if len(hs) > 1:
-                gaps.extend(b.start - a.end for a, b in zip(hs, hs[1:]))
+    for lock_id, by_proc in sorted(sections.items()):
+        rows = np.concatenate(list(by_proc.values()))
+        n_acq = len(rows)
+        gap_total = 0
+        n_gaps = 0
+        for proc, cs in by_proc.items():
+            if len(cs) > 1:
+                gap_total += int((cs["start"][1:] - cs["end"][:-1]).sum())
+                n_gaps += len(cs) - 1
             else:
                 # a single CS: the rest of the proc's run is its think time
-                gaps.append(work[proc] - hs[0].duration)
+                gap_total += work[proc] - int(cs["end"][0] - cs["start"][0])
+                n_gaps += 1
         profiles[lock_id] = LockProfile(
             lock_id=lock_id,
             acquisitions=n_acq,
             procs=tuple(sorted(by_proc)),
-            mean_hold=hold_total / n_acq,
-            mean_gap=max(0.0, sum(gaps) / len(gaps)),
-            nested_frac=nested / n_acq,
-            per_proc={p: len(hs) for p, hs in sorted(by_proc.items())},
+            mean_hold=int((rows["end"] - rows["start"]).sum()) / n_acq,
+            mean_gap=max(0.0, gap_total / n_gaps),
+            nested_frac=int(np.count_nonzero(rows["depth"])) / n_acq,
+            per_proc={p: len(cs) for p, cs in sorted(by_proc.items())},
         )
     return profiles
 
@@ -508,23 +513,6 @@ class LockVerdict:
 SHRINKABLE_THRESHOLD = 0.25
 
 
-def _cs_spans(trace) -> list[tuple[int, int, int]]:
-    """(lock_id, first_record_idx, last_record_idx) per critical
-    section, inclusive of the LOCK/UNLOCK records themselves."""
-    kinds = trace.records["kind"]
-    idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK))
-    spans = []
-    open_at: dict[int, int] = {}
-    for i in idx:
-        rec = trace.records[i]
-        lid = int(rec["arg"])
-        if rec["kind"] == LOCK:
-            open_at[lid] = int(i)
-        else:
-            spans.append((lid, open_at.pop(lid), int(i)))
-    return spans
-
-
 def _record_lines(rec, shift: int) -> range:
     """Cache lines covered by one data record (repetition-expanded)."""
     first = int(rec["addr"]) >> shift
@@ -557,12 +545,11 @@ def contention_report(
     # pass 1: per lock, which procs read/write which shared lines in CS
     readers: dict[int, dict[int, set]] = {}
     writers: dict[int, dict[int, set]] = {}
-    spans_by_trace = {}
+    sections = {}
     for trace in traceset:
-        spans = _cs_spans(trace)
-        spans_by_trace[trace.proc] = spans
+        sections[trace.proc] = critical_sections(trace).tolist()
         recs = trace.records
-        for lid, i0, i1 in spans:
+        for lid, i0, i1, *_ in sections[trace.proc]:
             for i in range(i0 + 1, i1):
                 rec = recs[i]
                 kind = int(rec["kind"])
@@ -593,9 +580,9 @@ def contention_report(
         recs = trace.records
         cyc = recs["cycles"].astype(np.int64)
         pos = np.cumsum(cyc) - cyc  # cycle at which each record begins
-        for lid, i0, i1 in spans_by_trace[trace.proc]:
+        for lid, i0, i1, start, end, _ in sections[trace.proc]:
             conflict = conflicts[lid]
-            duration = int(pos[i1] - pos[i0])
+            duration = end - start
             if duration <= 0:
                 shrink[lid].append(0.0)
                 continue

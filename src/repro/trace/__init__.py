@@ -1,5 +1,6 @@
 """MPTrace-like trace substrate: record model, address layout, builders,
-statistics, (de)serialisation and validation."""
+statistics, (de)serialisation, validation and the critical-section
+index."""
 
 from .builder import TraceBuildError, TraceBuilder
 from .cache import (
@@ -37,8 +38,13 @@ from .records import (
     Trace,
     TraceSet,
 )
-from .stats import LockHold, TraceStats, compute_trace_stats, lock_holds
-from .validate import TraceValidationError, validate_trace, validate_traceset
+from .stats import TraceStats, compute_trace_stats
+from .validate import (
+    TraceValidationError,
+    critical_sections,
+    validate_trace,
+    validate_traceset,
+)
 
 __all__ = [
     "AddressLayout",
@@ -48,7 +54,6 @@ __all__ = [
     "KIND_NAMES",
     "LINE_SIZE",
     "LOCK",
-    "LockHold",
     "ProcFootprint",
     "READ",
     "SharingProfile",
@@ -67,6 +72,7 @@ __all__ = [
     "UNLOCK",
     "WRITE",
     "compute_trace_stats",
+    "critical_sections",
     "default_trace_cache_dir",
     "dump_records",
     "dumps_traceset",
@@ -75,7 +81,6 @@ __all__ = [
     "summarize_traceset",
     "load_traceset",
     "loads_traceset",
-    "lock_holds",
     "save_traceset",
     "trace_key",
     "validate_trace",

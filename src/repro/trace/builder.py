@@ -1,27 +1,23 @@
 """Incremental construction of per-processor traces.
 
 Workload models drive one :class:`TraceBuilder` per logical processor.
-The builder enforces the structural invariants MPTrace post-processing
-guarantees (properly nested lock/unlock pairs per processor, addresses in
-known regions) at build time, so that downstream consumers never have to
-re-check them.
+Emission does no checking: :meth:`TraceBuilder.finish` runs
+:func:`repro.trace.validate.validate_trace` over the completed trace,
+so every structural invariant MPTrace post-processing guarantees
+(lock/unlock pairs, addresses in known regions) is checked once, in
+one place, whichever API emitted the records.
 
 Two emission speeds
 -------------------
 
 * The **scalar API** (``block``/``read``/``write``/``lock``/``unlock``/
-  ``barrier``) appends one record per call, validating as it goes.  It
-  is the reference path and the right tool for irregular, interleaved
-  emission (coordinated work queues, lock handoffs).
+  ``barrier``) appends one record per call.  It is the reference path
+  and the right tool for irregular, interleaved emission (coordinated
+  work queues, lock handoffs).
 * The **bulk API** (``append_records``/``append_columns``/``blocks``/
   ``refs``/``strided_refs``/``extend``) appends a whole run of records
   at once.  Records are kept as chunked ndarrays -- no Python object per
-  record -- and structural validation happens once per chunk with
-  vectorized checks instead of per record.  When a bulk call skips
-  validation (``check=False``, or a builder constructed with
-  ``check=False``), :meth:`finish` runs the full
-  :func:`repro.trace.validate.validate_trace` oracle over the completed
-  trace, so no path silently skips validation.
+  record.
 
 The two APIs interleave freely: scalar records are buffered and sealed
 into a chunk whenever a bulk run arrives, and :meth:`finish`
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import CODE_BASE, SHARED_BASE, AddressLayout
+from .layout import AddressLayout
 from .records import (
     BARRIER,
     IBLOCK,
@@ -43,6 +39,7 @@ from .records import (
     WRITE,
     Trace,
 )
+from .validate import TraceValidationError, validate_trace
 
 __all__ = ["TraceBuilder", "TraceBuildError"]
 
@@ -59,28 +56,15 @@ class TraceBuilder:
     proc:
         Processor index.
     layout:
-        The shared :class:`AddressLayout` (used for address sanity checks
-        and to look up lock-word addresses).
+        The shared :class:`AddressLayout` the workload allocates from.
     program:
         Program name stamped onto the resulting :class:`Trace`.
-    check:
-        When True (the default), validate every record as it is emitted
-        (scalar API) or every chunk as it is appended (bulk API).
-        Generation-heavy callers may disable this; bulk emission then
-        defers to the full validator at :meth:`finish` instead.
     """
 
-    def __init__(
-        self,
-        proc: int,
-        layout: AddressLayout,
-        program: str = "",
-        check: bool = True,
-    ) -> None:
+    def __init__(self, proc: int, layout: AddressLayout, program: str = "") -> None:
         self.proc = proc
         self.layout = layout
         self.program = program
-        self.check = check
         self._kind: list[int] = []
         self._addr: list[int] = []
         self._arg: list[int] = []
@@ -88,15 +72,7 @@ class TraceBuilder:
         #: sealed record chunks (RECORD_DTYPE arrays), in emission order
         self._chunks: list[np.ndarray] = []
         self._n_sealed = 0
-        self._lock_stack: list[int] = []
-        self._lock_addr: dict[int, int] = {}
         self._finished = False
-        #: a bulk append ran without chunk validation; finish() must
-        #: run the full validator so nothing ships unchecked
-        self._deferred_validation = False
-        #: per-chunk sync metadata, keyed by id() of appended chunks
-        #: (appended chunks are retained in _chunks, so ids stay unique)
-        self._sync_memo: dict[int, tuple[list, bool] | None] = {}
 
     # -- emission ------------------------------------------------------------
     def _push(self, kind: int, addr: int, arg: int, cycles: int) -> None:
@@ -110,43 +86,18 @@ class TraceBuilder:
     def block(self, n_instr: int, cycles: int, code_addr: int) -> None:
         """Emit a basic block of ``n_instr`` instruction fetches taking
         ``cycles`` ideal execution cycles, starting at ``code_addr``."""
-        if self.check:
-            if n_instr < 1:
-                raise TraceBuildError("basic block must contain >= 1 instruction")
-            if cycles < 1:
-                raise TraceBuildError("basic block must take >= 1 cycle")
-            if not AddressLayout.is_code(code_addr):
-                raise TraceBuildError(f"{code_addr:#x} is not a code address")
         self._push(IBLOCK, code_addr, n_instr, cycles)
 
     def read(self, addr: int, reps: int = 1) -> None:
         """Emit ``reps`` consecutive reads starting at ``addr``."""
-        if self.check and reps < 1:
-            raise TraceBuildError("reps must be >= 1")
         self._push(READ, addr, reps, 0)
 
     def write(self, addr: int, reps: int = 1) -> None:
         """Emit ``reps`` consecutive writes starting at ``addr``."""
-        if self.check and reps < 1:
-            raise TraceBuildError("reps must be >= 1")
         self._push(WRITE, addr, reps, 0)
 
     def lock(self, lock_id: int, lock_addr: int) -> None:
         """Emit a lock-acquire program point."""
-        if self.check:
-            if not AddressLayout.is_lock_addr(lock_addr):
-                raise TraceBuildError(f"{lock_addr:#x} is not a lock address")
-            if lock_id in self._lock_stack:
-                raise TraceBuildError(
-                    f"proc {self.proc} re-acquiring lock {lock_id} it already holds"
-                )
-            prev = self._lock_addr.setdefault(lock_id, lock_addr)
-            if prev != lock_addr:
-                raise TraceBuildError(
-                    f"lock {lock_id} used with two addresses "
-                    f"({prev:#x} and {lock_addr:#x})"
-                )
-        self._lock_stack.append(lock_id)
         self._push(LOCK, lock_addr, lock_id, 0)
 
     def unlock(self, lock_id: int, lock_addr: int) -> None:
@@ -156,18 +107,10 @@ class TraceBuilder:
         locking releases the outer lock first), but the processor must
         actually hold the lock it releases.
         """
-        if self.check:
-            if lock_id not in self._lock_stack:
-                raise TraceBuildError(
-                    f"proc {self.proc} releasing lock {lock_id} it does not hold"
-                )
-        self._lock_stack.remove(lock_id)
         self._push(UNLOCK, lock_addr, lock_id, 0)
 
     def barrier(self, barrier_id: int) -> None:
         """Emit a barrier arrival (extension record)."""
-        if self.check and self._lock_stack:
-            raise TraceBuildError("barrier reached while holding a lock")
         self._push(BARRIER, 0, barrier_id, 0)
 
     # -- bulk emission -------------------------------------------------------
@@ -188,16 +131,11 @@ class TraceBuilder:
         self._chunks.append(chunk)
         self._n_sealed += n
 
-    def append_records(self, records: np.ndarray, check: bool | None = None) -> None:
+    def append_records(self, records: np.ndarray) -> None:
         """Append a run of pre-built records (a :data:`RECORD_DTYPE` array).
 
         The array is referenced, not copied -- callers reusing a cached
-        chunk must never mutate it after appending.  With ``check`` (the
-        builder default), the chunk is validated with vectorized checks;
-        without it, the full-trace validator runs at :meth:`finish`
-        instead.  LOCK/UNLOCK/BARRIER records are tracked against the
-        builder's lock stack either way, so bulk and scalar emission
-        interleave consistently.
+        chunk must never mutate it after appending.
         """
         if self._finished:
             raise TraceBuildError("builder already finished")
@@ -207,21 +145,11 @@ class TraceBuilder:
             raise TraceBuildError("bulk records must be one-dimensional")
         if not len(records):
             return
-        check = self.check if check is None else check
-        if check:
-            self._check_chunk(records)
-        else:
-            self._deferred_validation = True
-        kinds = records["kind"]
-        # sync/barrier records are rare in bulk runs; only they need the
-        # per-record stack walk
-        if kinds.max(initial=0) >= LOCK:
-            self._track_sync(records, check)
         self._seal_pending()
         self._chunks.append(records)
         self._n_sealed += len(records)
 
-    def append_columns(self, kind, addr, arg, cycles, check: bool | None = None) -> None:
+    def append_columns(self, kind, addr, arg, cycles) -> None:
         """Append records given as four columns (arrays or scalars).
 
         Scalars broadcast against the longest column, so e.g.
@@ -239,42 +167,19 @@ class TraceBuilder:
         records["addr"] = addr
         records["arg"] = arg
         records["cycles"] = cycles
-        self.append_records(records, check=check)
+        self.append_records(records)
 
-    def extend(self, kinds, addrs, args, cycles, check: bool | None = None) -> None:
+    def extend(self, kinds, addrs, args, cycles) -> None:
         """Append a run of records given as plain Python sequences.
 
         The cheap path for short irregular runs (a dozen records whose
         addresses were just computed): the rows land in the scalar
-        buffer via ``list.extend`` with no ndarray round-trip.  Chunk
-        validation and lock tracking match :meth:`append_records`.
+        buffer via ``list.extend`` with no ndarray round-trip.
         """
         if self._finished:
             raise TraceBuildError("builder already finished")
         if not (len(kinds) == len(addrs) == len(args) == len(cycles)):
             raise TraceBuildError("bulk columns must have equal lengths")
-        if not kinds:
-            return
-        check = self.check if check is None else check
-        if check:
-            records = np.empty(len(kinds), dtype=RECORD_DTYPE)
-            records["kind"] = kinds
-            records["addr"] = addrs
-            records["arg"] = args
-            records["cycles"] = cycles
-            self.append_records(records, check=check)
-            return
-        self._deferred_validation = True
-        if LOCK in kinds or UNLOCK in kinds or BARRIER in kinds:
-            # unchecked sync tracking, matching the scalar API with
-            # check=False; structural errors surface in finish()'s
-            # deferred validation
-            stack = self._lock_stack
-            for k, g in zip(kinds, args):
-                if k == LOCK:
-                    stack.append(g)
-                elif k == UNLOCK:
-                    stack.remove(g)
         self._kind.extend(kinds)
         self._addr.extend(addrs)
         self._arg.extend(args)
@@ -297,122 +202,17 @@ class TraceBuilder:
         addr = np.uint64(start) + np.arange(count, dtype=np.uint64) * np.uint64(stride)
         self.append_columns(kind, addr, reps, 0)
 
-    # -- chunk validation ----------------------------------------------------
-    def _check_chunk(self, records: np.ndarray) -> None:
-        """Vectorized structural checks over one bulk chunk, mirroring
-        the scalar API's per-record validation."""
-        kinds = records["kind"]
-        if np.any(kinds > BARRIER):
-            bad = int(kinds[np.argmax(kinds > BARRIER)])
-            raise TraceBuildError(f"unknown record kind {bad}")
-        iblock = kinds == IBLOCK
-        if np.any(records["arg"][iblock] < 1):
-            raise TraceBuildError("basic block must contain >= 1 instruction")
-        if np.any(records["cycles"][iblock] < 1):
-            raise TraceBuildError("basic block must take >= 1 cycle")
-        if np.any(records["cycles"][~iblock] != 0):
-            raise TraceBuildError("non-IBLOCK record carries cycles")
-        if iblock.any():
-            a = records["addr"][iblock]
-            outside = (a < CODE_BASE) | (a >= SHARED_BASE)
-            if outside.any():
-                bad = int(a[np.argmax(outside)])
-                raise TraceBuildError(f"{bad:#x} is not a code address")
-        data = (kinds == READ) | (kinds == WRITE)
-        if np.any(records["arg"][data] < 1):
-            raise TraceBuildError("reps must be >= 1")
-
-    def _track_sync(self, records: np.ndarray, check: bool) -> None:
-        """Walk a chunk's LOCK/UNLOCK/BARRIER records (in order) through
-        the builder's lock stack, with the scalar API's error semantics.
-
-        Sync metadata is memoized per chunk identity: cached chunks
-        (e.g. a runtime's constant dispatch pattern) re-appended many
-        times extract their sync rows once, and a chunk whose lock pairs
-        are balanced and self-contained is a stack no-op on unchecked
-        re-appends.
-        """
-        memo = self._sync_memo.get(id(records))
-        if memo is None:
-            kinds = records["kind"]
-            idx = np.flatnonzero(kinds >= LOCK)
-            rows = list(
-                zip(
-                    kinds[idx].tolist(),
-                    records["addr"][idx].tolist(),
-                    records["arg"][idx].tolist(),
-                )
-            )
-            # balanced = replaying from an empty stack ends empty without
-            # underflow, tracking lock *identity* (depth alone would call
-            # "lock 0 / unlock 1" a no-op); such a chunk cannot change
-            # the builder's stack
-            sim: list[int] = []
-            balanced = True
-            for kind, _, lock_id in rows:
-                if kind == LOCK:
-                    sim.append(lock_id)
-                elif kind == UNLOCK:
-                    if lock_id in sim:
-                        sim.remove(lock_id)
-                    else:
-                        balanced = False
-                        break
-            balanced = balanced and not sim
-            memo = self._sync_memo[id(records)] = (rows, balanced)
-        rows, balanced = memo
-        if balanced and not check:
-            # locks acquired and released entirely within the chunk; the
-            # stack ends where it started and no errors can be raised
-            return
-        for kind, addr, lock_id in rows:
-            if kind == LOCK:
-                if check:
-                    if not AddressLayout.is_lock_addr(addr):
-                        raise TraceBuildError(f"{addr:#x} is not a lock address")
-                    if lock_id in self._lock_stack:
-                        raise TraceBuildError(
-                            f"proc {self.proc} re-acquiring lock {lock_id} "
-                            "it already holds"
-                        )
-                    prev = self._lock_addr.setdefault(lock_id, addr)
-                    if prev != addr:
-                        raise TraceBuildError(
-                            f"lock {lock_id} used with two addresses "
-                            f"({prev:#x} and {addr:#x})"
-                        )
-                self._lock_stack.append(lock_id)
-            elif kind == UNLOCK:
-                if check and lock_id not in self._lock_stack:
-                    raise TraceBuildError(
-                        f"proc {self.proc} releasing lock {lock_id} "
-                        "it does not hold"
-                    )
-                self._lock_stack.remove(lock_id)
-            elif kind == BARRIER:
-                if check and self._lock_stack:
-                    raise TraceBuildError("barrier reached while holding a lock")
-
-    # -- introspection ---------------------------------------------------------
-    @property
-    def held_locks(self) -> tuple[int, ...]:
-        return tuple(self._lock_stack)
-
     def __len__(self) -> int:
         return self._n_sealed + len(self._kind)
 
     # -- finalisation ------------------------------------------------------------
     def finish(self) -> Trace:
-        """Validate terminal invariants and produce the immutable Trace.
+        """Produce the immutable Trace, validated.
 
-        If any bulk append ran without chunk validation, the full
-        :func:`~repro.trace.validate.validate_trace` oracle runs here --
-        unchecked bulk emission defers validation, it never skips it.
+        Raises :class:`TraceBuildError` wrapping the
+        :class:`~repro.trace.validate.TraceValidationError` of the first
+        invariant the emitted records break.
         """
-        if self._lock_stack:
-            raise TraceBuildError(
-                f"proc {self.proc} finished trace holding locks {self._lock_stack}"
-            )
         self._seal_pending()
         self._finished = True
         if not self._chunks:
@@ -422,13 +222,10 @@ class TraceBuilder:
         else:
             records = np.concatenate(self._chunks)
         trace = Trace(records, proc=self.proc, program=self.program)
-        if self._deferred_validation:
-            from .validate import TraceValidationError, validate_trace
-
-            try:
-                validate_trace(trace)
-            except TraceValidationError as exc:
-                raise TraceBuildError(
-                    f"proc {self.proc}: bulk-emitted trace failed validation: {exc}"
-                ) from exc
+        try:
+            validate_trace(trace)
+        except TraceValidationError as exc:
+            raise TraceBuildError(
+                f"proc {self.proc}: trace failed validation: {exc}"
+            ) from exc
         return trace

@@ -37,6 +37,7 @@ next ``put`` simply overwrites.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -48,6 +49,7 @@ import numpy as np
 from .encode import FORMAT_VERSION
 from .layout import AddressLayout
 from .records import RECORD_DTYPE, Trace, TraceSet
+from .validate import validate_traceset
 
 __all__ = [
     "TRACE_CACHE_FORMAT",
@@ -206,23 +208,8 @@ class TraceCache:
             raise ValueError("trace object written under a different format version")
         if meta["key"] != key or meta["program"] != program:
             raise ValueError("stale or mismatched trace object")
-        counts = [int(c) for c in meta["counts"]]
-        if len(counts) != meta["n_procs"]:
-            raise ValueError("per-processor counts do not match n_procs")
         records = np.load(self.data_path(key), mmap_mode=self.mmap_mode)
-        if records.dtype != RECORD_DTYPE:
-            raise ValueError(f"unexpected record dtype {records.dtype}")
-        if len(records) != sum(counts):
-            raise ValueError("record data truncated")
-        traces = []
-        start = 0
-        for proc, count in enumerate(counts):
-            traces.append(
-                Trace(records[start : start + count], proc=proc, program=program)
-            )
-            start += count
-        layout = AddressLayout.from_dict(meta["layout"])
-        return TraceSet(traces, layout, program=program, meta=meta["meta"])
+        return _assemble(meta, records)
 
     def has_key(self, key: str) -> bool:
         """Cheap existence probe (peer ``has`` ops): a committed sidecar
@@ -260,9 +247,13 @@ class TraceCache:
     def put_bytes(self, key: str, meta_bytes: bytes, data_bytes: bytes) -> str:
         """Commit a replicated object fetched from a peer.
 
-        The sidecar is parsed and checked against ``key`` and both
-        format versions before anything touches disk -- a peer can be
-        stale or corrupt, never this store.
+        The sidecar is checked against ``key`` and both format versions,
+        and the records are decoded, assembled and validated
+        (:func:`~repro.trace.validate.validate_traceset`), all before
+        anything touches disk -- a peer can be stale, corrupt or lying,
+        never this store.  Raises ``ValueError`` (a
+        :class:`~repro.trace.validate.TraceValidationError` for records
+        that break a trace invariant) on a refused object.
         """
         meta = json.loads(meta_bytes)
         if (
@@ -271,6 +262,11 @@ class TraceCache:
             or meta.get("key") != key
         ):
             raise ValueError(f"replicated trace object does not match key {key!r}")
+        try:
+            records = np.load(io.BytesIO(data_bytes))
+        except (OSError, EOFError) as exc:
+            raise ValueError(f"replicated trace records do not decode: {exc}") from exc
+        validate_traceset(_assemble(meta, records))
         directory = self.data_path(key).parent
         directory.mkdir(parents=True, exist_ok=True)
         # same commit order as put(): data first, sidecar last
@@ -416,6 +412,25 @@ class TraceCache:
                 "hit_rate": round(self.stats.hit_rate, 4),
             },
         }
+
+
+def _assemble(meta: dict, records: np.ndarray) -> TraceSet:
+    """The traceset a sidecar describes, over its concatenated records."""
+    counts = [int(c) for c in meta["counts"]]
+    if len(counts) != meta["n_procs"]:
+        raise ValueError("per-processor counts do not match n_procs")
+    if records.dtype != RECORD_DTYPE:
+        raise ValueError(f"unexpected record dtype {records.dtype}")
+    if len(records) != sum(counts):
+        raise ValueError("record data truncated")
+    program = meta["program"]
+    traces = []
+    start = 0
+    for proc, count in enumerate(counts):
+        traces.append(Trace(records[start : start + count], proc=proc, program=program))
+        start += count
+    layout = AddressLayout.from_dict(meta["layout"])
+    return TraceSet(traces, layout, program=program, meta=meta["meta"])
 
 
 def resolve_trace_cache(value=None) -> TraceCache | None:

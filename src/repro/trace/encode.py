@@ -4,7 +4,7 @@ MPTrace stores compressed basic-block traces and expands them in a
 post-processing phase; our analog is a single ``.npz`` archive holding
 one structured array per processor plus a JSON metadata blob (program
 name, layout bookkeeping, generation parameters).  Traces round-trip
-losslessly.
+losslessly, and a loaded traceset is validated before it is returned.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .layout import AddressLayout
 from .records import RECORD_DTYPE, Trace, TraceSet
+from .validate import validate_traceset
 
 __all__ = [
     "FORMAT_VERSION",
@@ -60,7 +61,14 @@ def save_traceset(ts: TraceSet, path: str | os.PathLike) -> None:
 
 
 def load_traceset(path: str | os.PathLike) -> TraceSet:
-    """Read a :class:`TraceSet` previously written by :func:`save_traceset`."""
+    """Read a :class:`TraceSet` previously written by :func:`save_traceset`.
+
+    A trace file is outside input: the traceset is validated
+    (:func:`~repro.trace.validate.validate_traceset`) before it is
+    returned, so a malformed file raises
+    :class:`~repro.trace.validate.TraceValidationError` here rather
+    than misbehaving in the simulator.
+    """
     with np.load(path) as archive:
         meta = _parse_meta(archive["__meta__"])
         traces = []
@@ -70,7 +78,9 @@ def load_traceset(path: str | os.PathLike) -> TraceSet:
                 raise ValueError(f"proc{p}: unexpected record dtype {records.dtype}")
             traces.append(Trace(records, proc=p, program=meta["program"]))
     layout = AddressLayout.from_dict(meta["layout"])
-    return TraceSet(traces, layout, program=meta["program"], meta=meta["meta"])
+    ts = TraceSet(traces, layout, program=meta["program"], meta=meta["meta"])
+    validate_traceset(ts)
+    return ts
 
 
 def dumps_traceset(ts: TraceSet) -> bytes:

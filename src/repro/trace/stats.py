@@ -2,9 +2,9 @@
 
 These are the "ideal" statistics of the paper's §2.3: what the program
 would do with no cache misses, no bus, and no lock contention.  They are
-computed straight from the trace with numpy reductions (plus a short
-Python pass over the lock events, which are rare), and feed Tables 1
-and 2.
+computed straight from the trace with numpy reductions, the lock
+figures from the rows of :func:`repro.trace.validate.critical_sections`,
+and feed Tables 1 and 2.
 """
 
 from __future__ import annotations
@@ -14,23 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import PRIVATE_BASE, SHARED_BASE
-from .records import IBLOCK, LOCK, READ, UNLOCK, WRITE, Trace
+from .records import IBLOCK, READ, WRITE, Trace
+from .validate import critical_sections
 
-__all__ = ["TraceStats", "LockHold", "compute_trace_stats", "lock_holds"]
-
-
-@dataclass(frozen=True)
-class LockHold:
-    """One ideal lock-held interval on one processor."""
-
-    lock_id: int
-    start: int  # ideal cycle of the acquire program point
-    end: int  # ideal cycle of the release program point
-    nested: bool  # acquired while another lock was already held
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
+__all__ = ["TraceStats", "compute_trace_stats"]
 
 
 @dataclass(frozen=True)
@@ -53,49 +40,6 @@ class TraceStats:
         if self.work_cycles == 0:
             return 0.0
         return 100.0 * self.total_held / self.work_cycles
-
-
-def _cycle_positions(trace: Trace) -> np.ndarray:
-    """Ideal cycle at which each record *begins* (exclusive prefix sum)."""
-    cyc = trace.records["cycles"].astype(np.int64)
-    pos = np.empty(len(cyc), dtype=np.int64)
-    if len(cyc):
-        np.cumsum(cyc, out=pos)
-        pos -= cyc  # exclusive
-    return pos
-
-
-def lock_holds(trace: Trace) -> list[LockHold]:
-    """Pair up lock/unlock records into ideal held intervals.
-
-    The trace builder guarantees each processor's acquires/releases are
-    well formed (no re-acquire while held, no release of an unheld lock),
-    so pairing is a single pass over the lock events.
-    """
-    kinds = trace.records["kind"]
-    lock_mask = (kinds == LOCK) | (kinds == UNLOCK)
-    idx = np.flatnonzero(lock_mask)
-    if len(idx) == 0:
-        return []
-    pos = _cycle_positions(trace)
-    holds: list[LockHold] = []
-    open_at: dict[int, tuple[int, bool]] = {}  # lock_id -> (start, nested)
-    for i in idx:
-        rec = trace.records[i]
-        lid = int(rec["arg"])
-        if rec["kind"] == LOCK:
-            nested = len(open_at) > 0
-            if lid in open_at:
-                raise ValueError(f"lock {lid} acquired twice without release")
-            open_at[lid] = (int(pos[i]), nested)
-        else:
-            if lid not in open_at:
-                raise ValueError(f"lock {lid} released while not held")
-            start, nested = open_at.pop(lid)
-            holds.append(LockHold(lid, start, int(pos[i]), nested))
-    if open_at:
-        raise ValueError(f"trace ended with locks held: {sorted(open_at)}")
-    return holds
 
 
 def _union_length(intervals: list[tuple[int, int]]) -> int:
@@ -131,11 +75,11 @@ def compute_trace_stats(trace: Trace) -> TraceStats:
     shared = data & (addrs >= SHARED_BASE) & (addrs < PRIVATE_BASE)
     shared_refs = int(args[shared].sum())
 
-    holds = lock_holds(trace)
-    lock_pairs = len(holds)
-    nested = sum(1 for h in holds if h.nested)
-    avg_held = float(np.mean([h.duration for h in holds])) if holds else 0.0
-    total_held = _union_length([(h.start, h.end) for h in holds])
+    cs = critical_sections(trace)
+    lock_pairs = len(cs)
+    nested = int(np.count_nonzero(cs["depth"]))
+    avg_held = float(np.mean(cs["end"] - cs["start"])) if lock_pairs else 0.0
+    total_held = _union_length(list(zip(cs["start"].tolist(), cs["end"].tolist())))
 
     return TraceStats(
         proc=trace.proc,

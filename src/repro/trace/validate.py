@@ -1,24 +1,129 @@
-"""Structural validation of traces.
+"""Structural validation of traces, and the critical-section index.
 
-The builder enforces these invariants during generation; this module
-re-checks them on arbitrary traces (e.g. ones loaded from disk or built
-by external tools) and is the oracle for the property-based tests.
+:func:`validate_trace` is the one place a trace's invariants are
+checked: :meth:`TraceBuilder.finish` runs it on every generated trace,
+:func:`~repro.trace.encode.load_traceset` on every trace file, and
+:meth:`TraceCache.put_bytes` on every trace replicated from a peer.
+
+:func:`critical_sections` is the one place LOCK and UNLOCK records are
+paired.  The validator, the ideal statistics of :mod:`repro.trace.stats`
+and the lock profiles and contention report of :mod:`repro.sync.predict`
+all read its rows, so every lock consumer shares one definition of a
+critical section and one set of pairing errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layout import CODE_BASE, SHARED_BASE, AddressLayout
+from .layout import CODE_BASE, LOCK_BASE, PRIVATE_BASE, SHARED_BASE
 from .records import BARRIER, IBLOCK, LOCK, READ, UNLOCK, WRITE, Trace, TraceSet
 
-__all__ = ["TraceValidationError", "validate_trace", "validate_traceset"]
+__all__ = [
+    "CS_DTYPE",
+    "TraceValidationError",
+    "critical_sections",
+    "validate_trace",
+    "validate_traceset",
+]
 
 _VALID_KINDS = frozenset({IBLOCK, READ, WRITE, LOCK, UNLOCK, BARRIER})
+
+#: one row of :func:`critical_sections`
+CS_DTYPE = np.dtype(
+    [
+        ("lock", np.int64),  # lock id
+        ("acquire", np.int64),  # record index of the LOCK
+        ("release", np.int64),  # record index of its UNLOCK
+        ("start", np.int64),  # ideal cycle of the LOCK record
+        ("end", np.int64),  # ideal cycle of the UNLOCK record
+        ("depth", np.int64),  # other locks held at the acquire
+    ]
+)
 
 
 class TraceValidationError(ValueError):
     """A trace violates a structural invariant."""
+
+
+def critical_sections(trace: Trace) -> np.ndarray:
+    """Pair ``trace``'s LOCK and UNLOCK records into critical sections.
+
+    Returns one :data:`CS_DTYPE` row per section, in acquire order.  A
+    record's ideal cycle is the exclusive prefix sum of ``cycles``, so a
+    section holds its lock for ``end - start`` ideal cycles.  Sections
+    are intervals over the trace, not entries of a per-processor stack
+    (Sulzmann, *Critical Sections Are Not Per-Thread*): nesting,
+    hand-over-hand locking and non-LIFO release need no special case.
+
+    Raises :class:`TraceValidationError` naming the first bad record in
+    trace order when a lock is taken while already held, released while
+    not held, or still held at the end of the trace, or when a barrier
+    is reached while holding a lock.
+    """
+    rec = trace.records
+    kinds = rec["kind"]
+    idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK))
+    if not len(idx):
+        return np.empty(0, dtype=CS_DTYPE)
+    acq = kinds[idx] == LOCK
+    ids = rec["arg"][idx].astype(np.int64)
+    # level[j]: locks held just before event j (events in trace order)
+    level = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(np.where(acq, 1, -1), out=level[1:])
+
+    # group the events by lock, trace order within a group; a
+    # well-formed lock alternates LOCK, UNLOCK, LOCK, ... from rank 0,
+    # so the first event out of step is that lock's first fault
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    step = np.arange(len(order))
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    rank = step - np.maximum.accumulate(np.where(head, step, 0))
+    odd = (rank & 1) == 1
+    out_of_step = idx[order[acq[order] == odd]]
+    barriers = np.flatnonzero(kinds == BARRIER)
+    held_at = barriers[level[np.searchsorted(idx, barriers)] > 0]
+    bad = np.concatenate((out_of_step, held_at))
+    if len(bad):
+        first = int(bad.min())
+        lid = int(rec["arg"][first])
+        if kinds[first] == BARRIER:
+            raise TraceValidationError(
+                f"record {first}: barrier {lid} reached while holding a lock"
+            )
+        if kinds[first] == LOCK:
+            raise TraceValidationError(
+                f"record {first}: lock {lid} re-acquired while held"
+            )
+        raise TraceValidationError(
+            f"record {first}: lock {lid} released while not held"
+        )
+    tail = np.append(head[1:], True)
+    dangling = order[tail & ~odd]
+    if len(dangling):
+        i = int(idx[dangling.min()])
+        raise TraceValidationError(
+            f"record {i}: lock {int(rec['arg'][i])} never released; trace "
+            f"ends holding locks {sorted(ids[dangling].tolist())}"
+        )
+
+    # every lock now alternates with even length, so the sorted events
+    # pair up as (LOCK, UNLOCK), (LOCK, UNLOCK), ...
+    lock_ev, unlock_ev = order[0::2], order[1::2]
+    by_acquire = np.argsort(lock_ev)
+    lock_ev, unlock_ev = lock_ev[by_acquire], unlock_ev[by_acquire]
+    cycles = rec["cycles"].astype(np.int64)
+    pos = np.cumsum(cycles) - cycles
+    out = np.empty(len(lock_ev), dtype=CS_DTYPE)
+    out["lock"] = ids[lock_ev]
+    out["acquire"] = idx[lock_ev]
+    out["release"] = idx[unlock_ev]
+    out["start"] = pos[out["acquire"]]
+    out["end"] = pos[out["release"]]
+    out["depth"] = level[lock_ev]
+    return out
 
 
 def validate_trace(trace: Trace) -> None:
@@ -30,10 +135,10 @@ def validate_trace(trace: Trace) -> None:
     * basic blocks have >= 1 instruction and >= 1 cycle; data records
       have ``reps >= 1``; non-IBLOCK records carry zero cycles;
     * IBLOCK addresses are code addresses; LOCK/UNLOCK addresses are lock
-      addresses; data addresses are never code or lock addresses;
-    * lock/unlock events pair up (no re-acquire while held, no release of
-      an unheld lock, nothing held at end of trace), and each lock id
-      maps to a single address.
+      addresses; data addresses are never code addresses;
+    * each lock id maps to a single address;
+    * lock and unlock records pair into critical sections with no
+      barrier inside one (:func:`critical_sections`).
     """
     rec = trace.records
     kinds = rec["kind"]
@@ -66,38 +171,21 @@ def validate_trace(trace: Trace) -> None:
         i = int(np.argmax(bad))
         raise TraceValidationError(f"record {i}: data reference into code region")
 
-    sync_idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK))
-    held: dict[int, int] = {}
-    lock_addr: dict[int, int] = {}
-    # pre-extract to plain Python values: per-element structured-array
-    # indexing dominates validation time on sync-heavy traces
-    for i, k, lid, a in zip(
-        sync_idx.tolist(),
-        kinds[sync_idx].tolist(),
-        rec["arg"][sync_idx].tolist(),
-        addrs[sync_idx].tolist(),
-    ):
-        if not AddressLayout.is_lock_addr(a):
-            raise TraceValidationError(
-                f"record {i}: lock {lid} at non-lock address {a:#x}"
-            )
-        prev = lock_addr.setdefault(lid, a)
-        if prev != a:
-            raise TraceValidationError(f"lock {lid} has two addresses")
-        if k == LOCK:
-            if lid in held:
-                raise TraceValidationError(
-                    f"record {i}: lock {lid} re-acquired while held"
-                )
-            held[lid] = i
-        else:
-            if lid not in held:
-                raise TraceValidationError(
-                    f"record {i}: lock {lid} released while not held"
-                )
-            del held[lid]
-    if held:
-        raise TraceValidationError(f"trace ends holding locks {sorted(held)}")
+    sync = (kinds == LOCK) | (kinds == UNLOCK)
+    bad = sync & ((addrs < LOCK_BASE) | (addrs >= PRIVATE_BASE))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TraceValidationError(
+            f"record {i}: lock {rec['arg'][i]} at non-lock address {addrs[i]:#x}"
+        )
+    ids = rec["arg"][sync]
+    order = np.argsort(ids, kind="stable")
+    ids, lock_addrs = ids[order], addrs[sync][order]
+    clash = (ids[1:] == ids[:-1]) & (lock_addrs[1:] != lock_addrs[:-1])
+    if clash.any():
+        raise TraceValidationError(f"lock {ids[1:][np.argmax(clash)]} has two addresses")
+
+    critical_sections(trace)
 
 
 def validate_traceset(ts: TraceSet) -> None:
@@ -106,8 +194,8 @@ def validate_traceset(ts: TraceSet) -> None:
     Cross-processor checks: processor indices are ``0..n-1`` exactly once;
     a lock id used by several processors must resolve to the same address
     on all of them; private references stay in the owning processor's
-    region; every processor that locks a barrier... (barriers, if used,
-    must be reached by all processors the same number of times).
+    region; barriers, if used, are reached by every processor the same
+    number of times.
     """
     procs = sorted(t.proc for t in ts.traces)
     if procs != list(range(ts.n_procs)):

@@ -253,27 +253,18 @@ class Workload(ABC):
         self.seed = seed
 
     # -- generation ---------------------------------------------------------------
-    def generate(
-        self,
-        n_procs: int | None = None,
-        bulk: bool = True,
-        check: bool = False,
-    ) -> TraceSet:
+    def generate(self, n_procs: int | None = None, bulk: bool = True) -> TraceSet:
         """Run the model and produce the multi-processor trace.
 
         ``bulk=False`` forces record-by-record emission through the
         scalar builder API; the result is byte-identical to bulk mode
         (enforced by tests/test_tracegen_differential.py), just slower.
-        ``check=True`` validates during emission (per record in scalar
-        mode, per chunk in bulk mode) instead of deferring to the
-        finish-time validator.
+        Every processor's trace is validated as its builder finishes.
         """
         n = n_procs or self.default_procs
         layout = AddressLayout(n)
         rng = np.random.default_rng(self.seed)
-        builders = [
-            TraceBuilder(p, layout, program=self.name, check=check) for p in range(n)
-        ]
+        builders = [TraceBuilder(p, layout, program=self.name) for p in range(n)]
         sites: dict = {}
         ctxs = [
             ProcContext(p, builders[p], layout, rng, sites, cpi=self.cpi, bulk=bulk)

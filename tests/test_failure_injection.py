@@ -127,3 +127,27 @@ class TestCorruptTraceFiles:
         np.savez(path, **arrays)
         with pytest.raises(KeyError):
             load_traceset(path)
+
+    def test_unheld_release_rejected_naming_the_record(self, tmp_path):
+        """A well-encoded file whose records break a trace invariant is
+        refused at load, before it can reach the simulator."""
+        import numpy as np
+
+        from repro.trace.encode import load_traceset, save_traceset
+        from repro.trace.records import LOCK, UNLOCK
+        from repro.trace.validate import TraceValidationError
+        from repro.workloads import generate_trace
+
+        path = tmp_path / "t.npz"
+        save_traceset(generate_trace("fullconn", scale=0.02), path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        records = arrays["proc0"]
+        i = int(np.argmax(records["kind"] == LOCK))
+        records["kind"][i] = UNLOCK  # proc 0 releases a lock it never took
+        np.savez(path, **arrays)
+        with pytest.raises(
+            TraceValidationError,
+            match=f"record {i}: lock {records['arg'][i]} released while not held",
+        ):
+            load_traceset(path)

@@ -230,25 +230,18 @@ class TestCompletionInvariants:
     def test_deadlock_detection_reports_stuck_procs(self):
         """A trace whose lock is never released by anyone else cannot
         hang silently."""
+        import numpy as np
 
-        def fn0(b, layout):
-            la = layout.alloc_lock()
-            b.lock(0, la)
-            # never unlocks -- builder forbids this, so use check=False
-            b._lock_stack.clear()
-
-        from repro.trace.builder import TraceBuilder
         from repro.trace.layout import AddressLayout
-        from repro.trace.records import TraceSet
+        from repro.trace.records import LOCK, RECORD_DTYPE, Trace, TraceSet
 
         layout = AddressLayout(2)
         la = layout.alloc_lock()
-        b0 = TraceBuilder(0, layout, check=False)
-        b0.lock(0, la)
-        b0._lock_stack.clear()  # bypass the end-of-trace check
-        b1 = TraceBuilder(1, layout, check=False)
-        b1.lock(0, la)
-        b1._lock_stack.clear()
-        ts = TraceSet([b0.finish(), b1.finish()], layout, program="dead")
+        # both procs take lock 0 and never release it: the builder
+        # refuses such a trace, so build the records directly
+        never_released = np.array([(LOCK, la, 0, 0)], dtype=RECORD_DTYPE)
+        ts = TraceSet(
+            [Trace(never_released, proc=p) for p in range(2)], layout, program="dead"
+        )
         with pytest.raises(RuntimeError, match="deadlock"):
             run(ts)

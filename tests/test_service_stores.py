@@ -271,6 +271,43 @@ class TestPeerStore:
         assert local_traces.get_bytes(key) == peer_traces.get_bytes(key)
 
 
+    def test_lying_trace_peer_is_rejected_not_committed(self, tmp_path):
+        """A peer serving a well-framed trace whose records break a lock
+        invariant is refused before anything is written locally."""
+        import io
+
+        import numpy as np
+
+        from repro.trace.records import LOCK, UNLOCK
+        from repro.workloads import generate_trace
+
+        origin = TraceCache(tmp_path / "origin")
+        ts = generate_trace(GOOD.program, scale=GOOD.scale, seed=GOOD.seed)
+        key = origin.put(ts, scale=GOOD.scale, seed=GOOD.seed)
+        meta_bytes, data_bytes = origin.get_bytes(key)
+        records = np.load(io.BytesIO(data_bytes))
+        records["kind"][np.argmax(records["kind"] == LOCK)] = UNLOCK
+        buf = io.BytesIO()
+        np.save(buf, records)
+
+        async def liar(request):
+            return {
+                "ok": True,
+                "meta": Blob(meta_bytes, "json"),
+                "records": Blob(buf.getvalue(), "npy"),
+            }
+
+        local = TraceCache(tmp_path / "local")
+        metrics = ServiceMetrics()
+        store = PeerStore([InProcessTransport(liar)], trace_cache=local, metrics=metrics)
+        assert asyncio.run(store.fetch_trace(key)) is False
+        assert not local.has_key(key)
+        assert not local.data_path(key).exists()
+        assert (metrics.remote_rejects, metrics.remote_hits) == (1, 0)
+        assert local.get(GOOD.program, GOOD.scale, GOOD.seed) is None
+        assert local.stats.misses == 1
+
+
 class TestWorkerPeerPath:
     def test_run_consults_peers_before_simulating(self, tmp_path, good_result):
         origin_cache = ResultCache(tmp_path / "origin")

@@ -63,52 +63,69 @@ class TestEmission:
 
 
 class TestValidationAtBuild:
+    """Emission never checks; finish() validates the whole trace and
+    names the broken invariant."""
+
     def test_zero_instruction_block_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.block(0, 5, layout.alloc_code(16))
+        b.block(0, 5, layout.alloc_code(16))
+        with pytest.raises(TraceBuildError, match="zero instructions"):
+            b.finish()
 
     def test_zero_cycle_block_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.block(4, 0, layout.alloc_code(16))
+        b.block(4, 0, layout.alloc_code(16))
+        with pytest.raises(TraceBuildError, match="zero cycles"):
+            b.finish()
 
     def test_block_outside_code_region_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.block(4, 8, layout.alloc_shared(16))
+        b.block(4, 8, layout.alloc_shared(16))
+        with pytest.raises(TraceBuildError, match="outside code region"):
+            b.finish()
 
     def test_zero_reps_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.read(layout.alloc_shared(16), reps=0)
+        b.read(layout.alloc_shared(16), reps=0)
+        with pytest.raises(TraceBuildError, match="zero repetitions"):
+            b.finish()
 
     def test_reacquire_held_lock_rejected(self, b, layout):
         la = layout.alloc_lock()
         b.lock(1, la)
-        with pytest.raises(TraceBuildError):
-            b.lock(1, la)
+        b.lock(1, la)
+        with pytest.raises(TraceBuildError, match="record 1: lock 1 re-acquired"):
+            b.finish()
 
     def test_release_unheld_lock_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.unlock(1, layout.alloc_lock())
+        b.unlock(1, layout.alloc_lock())
+        with pytest.raises(TraceBuildError, match="record 0: lock 1 released while not held"):
+            b.finish()
 
     def test_lock_with_two_addresses_rejected(self, b, layout):
         a1, a2 = layout.alloc_lock(), layout.alloc_lock()
         b.lock(1, a1)
         b.unlock(1, a1)
-        with pytest.raises(TraceBuildError):
-            b.lock(1, a2)
+        b.lock(1, a2)
+        b.unlock(1, a2)
+        with pytest.raises(TraceBuildError, match="lock 1 has two addresses"):
+            b.finish()
 
     def test_lock_at_data_address_rejected(self, b, layout):
-        with pytest.raises(TraceBuildError):
-            b.lock(1, layout.alloc_shared(16))
+        la = layout.alloc_shared(16)
+        b.lock(1, la)
+        b.unlock(1, la)
+        with pytest.raises(TraceBuildError, match="non-lock address"):
+            b.finish()
 
     def test_finish_with_held_lock_rejected(self, b, layout):
         b.lock(1, layout.alloc_lock())
-        with pytest.raises(TraceBuildError):
+        with pytest.raises(TraceBuildError, match="ends holding locks"):
             b.finish()
 
     def test_barrier_while_holding_lock_rejected(self, b, layout):
-        b.lock(1, layout.alloc_lock())
-        with pytest.raises(TraceBuildError):
-            b.barrier(0)
+        la = layout.alloc_lock()
+        b.lock(1, la)
+        b.barrier(0)
+        b.unlock(1, la)
+        with pytest.raises(TraceBuildError, match="record 1: barrier 0 reached while holding"):
+            b.finish()
 
     def test_emit_after_finish_rejected(self, b, layout):
         a = layout.alloc_shared(16)
@@ -123,10 +140,8 @@ class TestNesting:
         outer, inner = layout.alloc_lock(), layout.alloc_lock()
         b.lock(1, outer)
         b.lock(2, inner)
-        assert b.held_locks == (1, 2)
         b.unlock(2, inner)
         b.unlock(1, outer)
-        assert b.held_locks == ()
         b.finish()
 
     def test_hand_over_hand_release_order(self, b, layout):
@@ -136,9 +151,4 @@ class TestNesting:
         b.lock(2, l2)
         b.unlock(1, l1)  # outer released first
         b.unlock(2, l2)
-        b.finish()
-
-    def test_unchecked_builder_skips_validation(self, layout):
-        b = TraceBuilder(0, layout, check=False)
-        b.read(layout.alloc_shared(16), reps=1)
         b.finish()

@@ -1,15 +1,31 @@
 """Property-based tests for the trace substrate."""
 
+import re
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.builder import TraceBuilder
 from repro.trace.encode import dumps_traceset, loads_traceset
-from repro.trace.layout import AddressLayout
-from repro.trace.records import TraceSet
+from repro.trace.layout import CODE_BASE, LOCK_BASE, AddressLayout
+from repro.trace.records import (
+    BARRIER,
+    IBLOCK,
+    LOCK,
+    RECORD_DTYPE,
+    UNLOCK,
+    Trace,
+    TraceSet,
+)
 from repro.trace.stats import compute_trace_stats
-from repro.trace.validate import validate_trace, validate_traceset
+from repro.trace.validate import (
+    TraceValidationError,
+    critical_sections,
+    validate_trace,
+    validate_traceset,
+)
 
 
 @st.composite
@@ -129,3 +145,105 @@ class TestTraceProperties:
         a = compute_trace_stats(build_traceset([ops])[0])
         b = compute_trace_stats(build_traceset([ops])[0])
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# critical_sections vs a reference walker
+# ----------------------------------------------------------------------
+def reference_sections(rows):
+    """Walk ``(kind, arg, cycles)`` rows once with a held-lock dict.
+    Returns ``(sections, None)``, or ``(None, first bad record)``."""
+    held, sections, pos = {}, [], 0  # held: lock -> (acquire, start, depth)
+    for i, (kind, arg, cycles) in enumerate(rows):
+        if kind == LOCK:
+            if arg in held:
+                return None, i
+            held[arg] = (i, pos, len(held))
+        elif kind == UNLOCK:
+            if arg not in held:
+                return None, i
+            acquire, start, depth = held.pop(arg)
+            sections.append((arg, acquire, i, start, pos, depth))
+        elif kind == BARRIER and held:
+            return None, i
+        pos += cycles
+    if held:
+        return None, min(acquire for acquire, _, _ in held.values())
+    return sorted(sections, key=lambda s: s[1]), None
+
+
+def sync_trace(rows):
+    """A trace of ``(kind, arg, cycles)`` rows with valid addresses."""
+    records = np.zeros(len(rows), dtype=RECORD_DTYPE)
+    for i, (kind, arg, cycles) in enumerate(rows):
+        addr = {IBLOCK: CODE_BASE, BARRIER: 0}.get(kind, LOCK_BASE + 16 * arg)
+        records[i] = (kind, addr, arg, cycles)
+    return Trace(records, proc=0)
+
+
+@st.composite
+def well_formed_sync(draw):
+    """Lock discipline kept: any held lock may be released next, so
+    nesting, hand-over-hand and non-LIFO release all occur."""
+    n_locks = draw(st.integers(1, 4))
+    held: list[int] = []
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        ops = ["block"] + (["barrier"] if not held else [])
+        ops += ["lock"] if len(held) < n_locks else []
+        ops += ["unlock"] if held else []
+        op = draw(st.sampled_from(ops))
+        if op == "block":
+            rows.append((IBLOCK, 1, draw(st.integers(1, 50))))
+        elif op == "barrier":
+            rows.append((BARRIER, draw(st.integers(0, 2)), 0))
+        elif op == "lock":
+            lid = draw(st.sampled_from([l for l in range(n_locks) if l not in held]))
+            held.append(lid)
+            rows.append((LOCK, lid, 0))
+        else:
+            lid = draw(st.sampled_from(held))
+            held.remove(lid)
+            rows.append((UNLOCK, lid, 0))
+    for lid in draw(st.permutations(held)):
+        rows.append((UNLOCK, lid, 0))
+    return rows
+
+
+@st.composite
+def ill_formed_sync(draw):
+    """A well-formed sequence with records inserted and deleted at
+    random: re-acquires, unheld releases, dangling holds and barriers
+    inside critical sections."""
+    rows = draw(well_formed_sync())
+    for _ in range(draw(st.integers(1, 3))):
+        if rows and draw(st.booleans()):
+            del rows[draw(st.integers(0, len(rows) - 1))]
+        else:
+            kind = draw(st.sampled_from([LOCK, UNLOCK, BARRIER]))
+            rows.insert(draw(st.integers(0, len(rows))), (kind, draw(st.integers(0, 4)), 0))
+    return rows
+
+
+class TestCriticalSectionIndex:
+    @given(st.one_of(well_formed_sync(), ill_formed_sync()))
+    @settings(max_examples=300, deadline=None)
+    @example([(LOCK, 0, 0), (LOCK, 1, 0), (UNLOCK, 0, 0), (UNLOCK, 1, 0)])  # hand-over-hand
+    @example([(LOCK, 0, 0), (LOCK, 1, 0), (LOCK, 2, 0), (UNLOCK, 1, 0),
+              (UNLOCK, 2, 0), (UNLOCK, 0, 0)])  # non-LIFO release
+    @example([(LOCK, 0, 0), (IBLOCK, 1, 5), (LOCK, 0, 0)])  # re-acquire
+    @example([(LOCK, 1, 0), (UNLOCK, 1, 0), (UNLOCK, 1, 0)])  # unheld release
+    @example([(LOCK, 2, 0), (LOCK, 1, 0), (LOCK, 0, 0), (UNLOCK, 1, 0)])  # dangling holds
+    @example([(LOCK, 0, 0), (BARRIER, 0, 0), (UNLOCK, 0, 0)])  # barrier while holding
+    def test_index_matches_reference_walker(self, rows):
+        trace = sync_trace(rows)
+        expected, bad = reference_sections(rows)
+        if bad is None:
+            assert critical_sections(trace).tolist() == expected
+            validate_trace(trace)
+            return
+        with pytest.raises(TraceValidationError) as err:
+            critical_sections(trace)
+        assert re.match(r"record (\d+):", str(err.value)).group(1) == str(bad)
+        with pytest.raises(TraceValidationError, match=re.escape(str(err.value))):
+            validate_trace(trace)

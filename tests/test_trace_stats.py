@@ -4,7 +4,8 @@ import pytest
 
 from repro.trace.builder import TraceBuilder
 from repro.trace.layout import AddressLayout
-from repro.trace.stats import compute_trace_stats, lock_holds
+from repro.trace.stats import compute_trace_stats
+from repro.trace.validate import critical_sections
 
 
 @pytest.fixture
@@ -76,10 +77,11 @@ class TestLockHolds:
             b.block(4, 100, code)
             b.unlock(1, la)
 
-        holds = lock_holds(build(layout, fn))
-        assert len(holds) == 1
-        assert holds[0].duration == 100
-        assert not holds[0].nested
+        cs = critical_sections(build(layout, fn))
+        assert len(cs) == 1
+        assert (cs[0]["acquire"], cs[0]["release"]) == (0, 2)
+        assert cs[0]["end"] - cs[0]["start"] == 100
+        assert cs[0]["depth"] == 0
 
     def test_nested_flag(self, layout):
         code = layout.alloc_code(64)
@@ -93,9 +95,8 @@ class TestLockHolds:
             b.unlock(2, l2)
             b.unlock(1, l1)
 
-        holds = lock_holds(build(layout, fn))
-        nested = {h.lock_id: h.nested for h in holds}
-        assert nested == {1: False, 2: True}
+        cs = critical_sections(build(layout, fn))
+        assert dict(zip(cs["lock"].tolist(), cs["depth"].tolist())) == {1: 0, 2: 1}
 
     def test_stats_counts_pairs_and_nesting(self, layout):
         code = layout.alloc_code(64)

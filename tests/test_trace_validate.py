@@ -1,5 +1,7 @@
 """Tests for trace validation: every invariant violation is caught."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,41 @@ class TestLockPairing:
         )
         with pytest.raises(TraceValidationError, match="two addresses"):
             validate_trace(t)
+
+
+#: one trace per pairing fault; each names its first bad record
+MALFORMED = {
+    "re-acquire": [(LOCK, LOCKA, 1, 0), (LOCK, LOCKA, 1, 0), (UNLOCK, LOCKA, 1, 0)],
+    "unheld-release": [(IBLOCK, CODE, 4, 8), (UNLOCK, LOCKA, 1, 0)],
+    "dangling-hold": [(LOCK, LOCKA, 1, 0), (IBLOCK, CODE, 4, 8)],
+    "barrier-while-holding": [
+        (LOCK, LOCKA, 1, 0),
+        (BARRIER, 0, 2, 0),
+        (UNLOCK, LOCKA, 1, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_every_lock_consumer_raises_the_same_error(fault):
+    """Validation, the ideal statistics, the lock profiles and the
+    contention report pair locks through one index, so a malformed
+    trace fails all of them with one message."""
+    from repro.sync.predict import contention_report, profile_locks
+    from repro.trace.stats import compute_trace_stats
+
+    trace = raw_trace(MALFORMED[fault])
+    ts = TraceSet([trace], AddressLayout(1), program="x")
+    with pytest.raises(TraceValidationError, match=r"^record \d+: ") as first:
+        validate_trace(trace)
+    message = f"^{re.escape(str(first.value))}$"
+    for consume in (
+        lambda: compute_trace_stats(trace),
+        lambda: profile_locks(ts),
+        lambda: contention_report(ts),
+    ):
+        with pytest.raises(TraceValidationError, match=message):
+            consume()
 
 
 class TestCrossProcessor:

@@ -8,8 +8,8 @@ record-by-record reference path (``bulk=False``).  This module checks
 that claim exhaustively over the registry, and property-tests the
 chunked builder itself: random valid emission programs split arbitrarily
 across the scalar and bulk APIs must build identical record arrays, and
-every structural error the scalar API raises must still be raised (at
-append time when checking, at ``finish()`` otherwise).
+every structural error must be raised at ``finish()`` whichever API
+emitted the bad record.
 """
 
 import numpy as np
@@ -45,16 +45,6 @@ class TestRegistryByteIdentity:
         bulk = generate_trace(program, scale=scale, seed=seed, bulk=True)
         scalar = generate_trace(program, scale=scale, seed=seed, bulk=False)
         assert dumps_traceset(bulk) == dumps_traceset(scalar)
-
-    def test_checked_emission_is_byte_neutral(self):
-        """check=True (per-chunk / per-record validation) must not
-        change the records either."""
-        wl = WORKLOADS["qsort"](scale=0.2, seed=7)
-        plain = wl.generate(bulk=True, check=False)
-        checked = wl.generate(bulk=True, check=True)
-        scalar_checked = wl.generate(bulk=False, check=True)
-        assert dumps_traceset(plain) == dumps_traceset(checked)
-        assert dumps_traceset(plain) == dumps_traceset(scalar_checked)
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +95,7 @@ def emission_programs(draw, max_rows=80):
         for a, b in zip(bounds, bounds[1:])
         if a < b
     ]
-    check = draw(st.booleans())
-    return rows, segments, check
+    return rows, segments
 
 
 def _resolve(rows, layout, proc, code, shared, locks):
@@ -130,12 +119,12 @@ def _resolve(rows, layout, proc, code, shared, locks):
     return out
 
 
-def _build(rows, segments, check, how):
+def _build(rows, segments, how):
     layout = AddressLayout(1)
     code = layout.alloc_code(256)
     shared = layout.alloc_shared(16384)
     locks = [layout.alloc_lock() for _ in range(3)]
-    b = TraceBuilder(0, layout, program="prop", check=check)
+    b = TraceBuilder(0, layout, program="prop")
     concrete = _resolve(rows, layout, 0, code, shared, locks)
     if how == "scalar":
         segments = [("scalar", 0, len(concrete))]
@@ -170,16 +159,16 @@ class TestChunkedBuilderProperties:
     def test_bulk_segmentation_is_byte_neutral(self, prog):
         """Any segmentation of a valid program across the four emission
         APIs builds the same records as the scalar reference."""
-        rows, segments, check = prog
-        bulk, _ = _build(rows, segments, check, "mixed")
-        scalar, _ = _build(rows, segments, True, "scalar")
+        rows, segments = prog
+        bulk, _ = _build(rows, segments, "mixed")
+        scalar, _ = _build(rows, segments, "scalar")
         assert np.array_equal(bulk.records, scalar.records)
 
     @given(emission_programs(max_rows=40))
     @settings(max_examples=30, deadline=None)
     def test_bulk_output_roundtrips_through_encode(self, prog):
-        rows, segments, check = prog
-        trace, layout = _build(rows, segments, check, "mixed")
+        rows, segments = prog
+        trace, layout = _build(rows, segments, "mixed")
         ts = TraceSet([trace], layout, program="prop")
         ts2 = loads_traceset(dumps_traceset(ts))
         assert np.array_equal(ts[0].records, ts2[0].records)
@@ -224,70 +213,72 @@ def _layout():
 
 
 class TestBulkErrorSemantics:
+    """A bad record emitted through any bulk API is caught at finish()."""
+
     def test_checked_chunk_rejects_bad_code_address(self):
         layout, _, shared, _ = _layout()
         b = TraceBuilder(0, layout)
-        chunk = np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE)
-        with pytest.raises(TraceBuildError, match="not a code address"):
-            b.append_records(chunk)
+        b.append_records(np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE))
+        with pytest.raises(TraceBuildError, match="record 0: IBLOCK address"):
+            b.finish()
 
     def test_checked_chunk_rejects_zero_instruction_block(self):
         layout, code, _, _ = _layout()
         b = TraceBuilder(0, layout)
-        with pytest.raises(TraceBuildError, match=">= 1 instruction"):
-            b.append_columns(IBLOCK, code, 0, 12)
+        b.append_columns(IBLOCK, code, 0, 12)
+        with pytest.raises(TraceBuildError, match="zero instructions"):
+            b.finish()
 
     def test_checked_chunk_rejects_zero_reps(self):
         layout, _, shared, _ = _layout()
         b = TraceBuilder(0, layout)
-        with pytest.raises(TraceBuildError, match="reps must be >= 1"):
-            b.refs(READ, shared, 0)
+        b.refs(READ, shared, 0)
+        with pytest.raises(TraceBuildError, match="zero repetitions"):
+            b.finish()
 
     def test_checked_chunk_rejects_unheld_unlock(self):
         layout, _, _, lock = _layout()
         b = TraceBuilder(0, layout)
-        chunk = np.array([(UNLOCK, lock, 0, 0)], dtype=RECORD_DTYPE)
-        with pytest.raises(TraceBuildError, match="does not hold"):
-            b.append_records(chunk)
+        b.append_records(np.array([(UNLOCK, lock, 0, 0)], dtype=RECORD_DTYPE))
+        with pytest.raises(TraceBuildError, match="record 0: lock 0 released while not held"):
+            b.finish()
 
     def test_checked_chunk_rejects_reacquire(self):
         layout, _, _, lock = _layout()
         b = TraceBuilder(0, layout)
         b.lock(0, lock)
-        chunk = np.array([(LOCK, lock, 0, 0)], dtype=RECORD_DTYPE)
-        with pytest.raises(TraceBuildError, match="already holds"):
-            b.append_records(chunk)
+        b.append_records(np.array([(LOCK, lock, 0, 0)], dtype=RECORD_DTYPE))
+        with pytest.raises(TraceBuildError, match="record 1: lock 0 re-acquired"):
+            b.finish()
 
     def test_finish_rejects_held_locks_from_bulk(self):
         layout, _, _, lock = _layout()
-        b = TraceBuilder(0, layout, check=False)
+        b = TraceBuilder(0, layout)
         b.extend([LOCK], [lock], [0], [0])
         with pytest.raises(TraceBuildError, match="holding locks"):
             b.finish()
 
     def test_unchecked_bulk_defers_to_finish_validator(self):
-        """Satellite: no path skips validation -- an invalid record
-        emitted through an unchecked bulk API is caught at finish()."""
+        """An invalid record emitted through extend() is caught at
+        finish()."""
         layout, code, _, _ = _layout()
-        b = TraceBuilder(0, layout, check=False)
-        # a data reference into the code region: structurally invalid,
-        # but not checked at append time
+        b = TraceBuilder(0, layout)
+        # a data reference into the code region: structurally invalid
         b.extend([READ], [code], [1], [0])
         with pytest.raises(TraceBuildError, match="failed validation"):
             b.finish()
 
     def test_unchecked_append_records_defers_to_finish_validator(self):
         layout, _, shared, _ = _layout()
-        b = TraceBuilder(0, layout, check=True)
-        chunk = np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE)
-        # per-call override: skip the chunk check, so finish must catch it
-        b.append_records(chunk, check=False)
-        with pytest.raises(TraceBuildError, match="failed validation"):
+        b = TraceBuilder(0, layout)
+        b.block(4, 12, layout.alloc_code(16))
+        b.append_records(np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE))
+        with pytest.raises(TraceBuildError, match="record 1: IBLOCK address"):
             b.finish()
 
     def test_valid_unchecked_bulk_passes_finish(self):
         layout, code, shared, lock = _layout()
-        b = TraceBuilder(0, layout, check=False)
+        b = TraceBuilder(0, layout)
         b.extend(
             [LOCK, IBLOCK, READ, UNLOCK],
             [lock, code, shared, lock],
