@@ -363,7 +363,7 @@ def _make_contended(name: str, iters: int, hot: int, reads: int):
     lock = layout.alloc_lock()
     traces = []
     for p in range(SPIN_PROCS):
-        b = TraceBuilder(p, layout, program=name)
+        b = TraceBuilder(p, program=name)
         code = SHARED_BASE - (p + 1) * 16 * 16
         base = layout.alloc_shared(SPIN_SPAN * 16)
         for j in range(SPIN_SPAN):  # warm: later reads all hit

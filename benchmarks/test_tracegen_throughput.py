@@ -104,7 +104,6 @@ def _measure_emission(ts):
     records through the scalar per-record API and through one bulk
     append per processor.  This is the path the chunked builder
     replaced; end-to-end program cells dilute it with model compute."""
-    layout = ts.layout
     per_proc = [np.asarray(t.records) for t in ts.traces]
     rows = [
         [(int(r["kind"]), int(r["addr"]), int(r["arg"]), int(r["cycles"])) for r in recs]
@@ -113,7 +112,7 @@ def _measure_emission(ts):
 
     def scalar():
         for proc, proc_rows in enumerate(rows):
-            b = TraceBuilder(proc, layout, program=ts.program)
+            b = TraceBuilder(proc, program=ts.program)
             for kind, addr, arg, cycles in proc_rows:
                 if kind == IBLOCK:
                     b.block(arg, cycles, addr)
@@ -133,7 +132,7 @@ def _measure_emission(ts):
         # finish() validates the whole trace on both sides, as in
         # production generation
         for proc, recs in enumerate(per_proc):
-            b = TraceBuilder(proc, layout, program=ts.program)
+            b = TraceBuilder(proc, program=ts.program)
             b.append_records(recs)
             b.finish()
 

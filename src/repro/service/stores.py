@@ -170,9 +170,11 @@ class PeerStore:
                 continue
             try:
                 self.trace_cache.put_bytes(key, meta.data, records.data)
-            except (ValueError, KeyError, TypeError):
-                # malformed sidecar, undecodable or invalid records
+            except ValueError:
+                # stale, malformed or invalid object: refused before commit
                 self._count("remote_rejects")
+                continue
+            except Exception:  # a local write failure: simulate instead
                 continue
             self._count("remote_hits")
             return True

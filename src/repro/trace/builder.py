@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import AddressLayout
 from .records import (
     BARRIER,
     IBLOCK,
@@ -55,15 +54,12 @@ class TraceBuilder:
     ----------
     proc:
         Processor index.
-    layout:
-        The shared :class:`AddressLayout` the workload allocates from.
     program:
         Program name stamped onto the resulting :class:`Trace`.
     """
 
-    def __init__(self, proc: int, layout: AddressLayout, program: str = "") -> None:
+    def __init__(self, proc: int, program: str = "") -> None:
         self.proc = proc
-        self.layout = layout
         self.program = program
         self._kind: list[int] = []
         self._addr: list[int] = []

@@ -253,20 +253,26 @@ class TraceCache:
         anything touches disk -- a peer can be stale, corrupt or lying,
         never this store.  Raises ``ValueError`` (a
         :class:`~repro.trace.validate.TraceValidationError` for records
-        that break a trace invariant) on a refused object.
+        that break a trace invariant) on a refused object, whatever is
+        wrong with its bytes.
         """
-        meta = json.loads(meta_bytes)
-        if (
-            meta.get("cache_format") != TRACE_CACHE_FORMAT
-            or meta.get("encode_format") != FORMAT_VERSION
-            or meta.get("key") != key
-        ):
-            raise ValueError(f"replicated trace object does not match key {key!r}")
         try:
-            records = np.load(io.BytesIO(data_bytes))
-        except (OSError, EOFError) as exc:
-            raise ValueError(f"replicated trace records do not decode: {exc}") from exc
-        validate_traceset(_assemble(meta, records))
+            meta = json.loads(meta_bytes)
+            if not isinstance(meta, dict) or (
+                meta.get("cache_format") != TRACE_CACHE_FORMAT
+                or meta.get("encode_format") != FORMAT_VERSION
+                or meta.get("key") != key
+            ):
+                raise ValueError(
+                    f"replicated trace object does not match key {key!r}"
+                )
+            # a bare .npy, as put() writes it: never an archive or a pickle
+            records = np.lib.format.read_array(io.BytesIO(data_bytes))
+            validate_traceset(_assemble(meta, records))
+        except ValueError:
+            raise
+        except Exception as exc:
+            raise ValueError(f"malformed replicated trace object: {exc!r}") from exc
         directory = self.data_path(key).parent
         directory.mkdir(parents=True, exist_ok=True)
         # same commit order as put(): data first, sidecar last
@@ -419,8 +425,8 @@ def _assemble(meta: dict, records: np.ndarray) -> TraceSet:
     counts = [int(c) for c in meta["counts"]]
     if len(counts) != meta["n_procs"]:
         raise ValueError("per-processor counts do not match n_procs")
-    if records.dtype != RECORD_DTYPE:
-        raise ValueError(f"unexpected record dtype {records.dtype}")
+    if records.dtype != RECORD_DTYPE or records.ndim != 1:
+        raise ValueError(f"unexpected record array {records.dtype} {records.shape}")
     if len(records) != sum(counts):
         raise ValueError("record data truncated")
     program = meta["program"]

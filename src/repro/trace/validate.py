@@ -63,66 +63,41 @@ def critical_sections(trace: Trace) -> np.ndarray:
     """
     rec = trace.records
     kinds = rec["kind"]
-    idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK))
-    if not len(idx):
-        return np.empty(0, dtype=CS_DTYPE)
-    acq = kinds[idx] == LOCK
-    ids = rec["arg"][idx].astype(np.int64)
-    # level[j]: locks held just before event j (events in trace order)
-    level = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(np.where(acq, 1, -1), out=level[1:])
-
-    # group the events by lock, trace order within a group; a
-    # well-formed lock alternates LOCK, UNLOCK, LOCK, ... from rank 0,
-    # so the first event out of step is that lock's first fault
-    order = np.argsort(ids, kind="stable")
-    grouped = ids[order]
-    step = np.arange(len(order))
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = grouped[1:] != grouped[:-1]
-    rank = step - np.maximum.accumulate(np.where(head, step, 0))
-    odd = (rank & 1) == 1
-    out_of_step = idx[order[acq[order] == odd]]
-    barriers = np.flatnonzero(kinds == BARRIER)
-    held_at = barriers[level[np.searchsorted(idx, barriers)] > 0]
-    bad = np.concatenate((out_of_step, held_at))
-    if len(bad):
-        first = int(bad.min())
-        lid = int(rec["arg"][first])
-        if kinds[first] == BARRIER:
+    idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK) | (kinds == BARRIER))
+    rows: list[list[int]] = []  # [lock, acquire, release, depth], acquire order
+    held: dict[int, list[int]] = {}  # lock id -> its open row
+    args = rec["arg"][idx].tolist()
+    for i, kind, arg in zip(idx.tolist(), kinds[idx].tolist(), args):
+        if kind == LOCK:
+            if arg in held:
+                raise TraceValidationError(
+                    f"record {i}: lock {arg} re-acquired while held"
+                )
+            held[arg] = row = [arg, i, i, len(held)]
+            rows.append(row)
+        elif kind == UNLOCK:
+            if arg not in held:
+                raise TraceValidationError(
+                    f"record {i}: lock {arg} released while not held"
+                )
+            held.pop(arg)[2] = i
+        elif held:
             raise TraceValidationError(
-                f"record {first}: barrier {lid} reached while holding a lock"
+                f"record {i}: barrier {arg} reached while holding a lock"
             )
-        if kinds[first] == LOCK:
-            raise TraceValidationError(
-                f"record {first}: lock {lid} re-acquired while held"
-            )
+    if held:
+        lid, i, _, _ = min(held.values(), key=lambda row: row[1])
         raise TraceValidationError(
-            f"record {first}: lock {lid} released while not held"
+            f"record {i}: lock {lid} never released; trace ends "
+            f"holding locks {sorted(held)}"
         )
-    tail = np.append(head[1:], True)
-    dangling = order[tail & ~odd]
-    if len(dangling):
-        i = int(idx[dangling.min()])
-        raise TraceValidationError(
-            f"record {i}: lock {int(rec['arg'][i])} never released; trace "
-            f"ends holding locks {sorted(ids[dangling].tolist())}"
-        )
-
-    # every lock now alternates with even length, so the sorted events
-    # pair up as (LOCK, UNLOCK), (LOCK, UNLOCK), ...
-    lock_ev, unlock_ev = order[0::2], order[1::2]
-    by_acquire = np.argsort(lock_ev)
-    lock_ev, unlock_ev = lock_ev[by_acquire], unlock_ev[by_acquire]
+    out = np.empty(len(rows), dtype=CS_DTYPE)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    out["lock"], out["acquire"], out["release"], out["depth"] = cols.T
     cycles = rec["cycles"].astype(np.int64)
     pos = np.cumsum(cycles) - cycles
-    out = np.empty(len(lock_ev), dtype=CS_DTYPE)
-    out["lock"] = ids[lock_ev]
-    out["acquire"] = idx[lock_ev]
-    out["release"] = idx[unlock_ev]
     out["start"] = pos[out["acquire"]]
     out["end"] = pos[out["release"]]
-    out["depth"] = level[lock_ev]
     return out
 
 
@@ -183,7 +158,9 @@ def validate_trace(trace: Trace) -> None:
     ids, lock_addrs = ids[order], addrs[sync][order]
     clash = (ids[1:] == ids[:-1]) & (lock_addrs[1:] != lock_addrs[:-1])
     if clash.any():
-        raise TraceValidationError(f"lock {ids[1:][np.argmax(clash)]} has two addresses")
+        raise TraceValidationError(
+            f"lock {ids[1:][np.argmax(clash)]} has two addresses"
+        )
 
     critical_sections(trace)
 

@@ -264,7 +264,7 @@ class Workload(ABC):
         n = n_procs or self.default_procs
         layout = AddressLayout(n)
         rng = np.random.default_rng(self.seed)
-        builders = [TraceBuilder(p, layout, program=self.name) for p in range(n)]
+        builders = [TraceBuilder(p, program=self.name) for p in range(n)]
         sites: dict = {}
         ctxs = [
             ProcContext(p, builders[p], layout, rng, sites, cpi=self.cpi, bulk=bulk)

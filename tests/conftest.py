@@ -54,7 +54,7 @@ def make_traceset(build_fns, layout=None, program="test"):
     layout = layout or AddressLayout(n_procs=n)
     traces = []
     for p, fn in enumerate(build_fns):
-        b = TraceBuilder(p, layout, program=program)
+        b = TraceBuilder(p, program=program)
         fn(b, layout)
         traces.append(b.finish())
     return TraceSet(traces, layout, program=program)

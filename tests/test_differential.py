@@ -128,7 +128,7 @@ def _contended_cube_trace():
     lock = layout.alloc_lock()
     traces = []
     for p in range(4):
-        b = TraceBuilder(p, layout, program="spin-cube")
+        b = TraceBuilder(p, program="spin-cube")
         code = layout.alloc_code(64)
         base = layout.alloc_private(p, 8 * 16)
         for j in range(8):  # warm the working set: later reads all hit

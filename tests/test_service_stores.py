@@ -3,8 +3,11 @@
 peers return, and the scheduler's ``remote`` outcome path."""
 
 import asyncio
+import io
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.runner import JobSpec, ResultCache
@@ -26,6 +29,7 @@ from repro.service import (
 from repro.service.stores import decode_fetched_result, result_matches_spec
 from repro.service.transport import Blob
 from repro.trace.cache import TraceCache, trace_key
+from repro.trace.records import LOCK, UNLOCK
 
 pytestmark = pytest.mark.service
 
@@ -187,6 +191,47 @@ class TestPeerVerification:
         assert scheduler.cache.get(GOOD) == good_result
 
 
+def _npy(records) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, records)
+    return buf.getvalue()
+
+
+def _flip_first_lock(meta_bytes, data_bytes):
+    records = np.load(io.BytesIO(data_bytes))
+    records["kind"][np.argmax(records["kind"] == LOCK)] = UNLOCK
+    return meta_bytes, _npy(records)
+
+
+def _as_npz(meta_bytes, data_bytes):
+    buf = io.BytesIO()
+    np.savez(buf, records=np.load(io.BytesIO(data_bytes)))
+    return meta_bytes, buf.getvalue()
+
+
+def _lock_names_as_list(meta_bytes, data_bytes):
+    meta = json.loads(meta_bytes)
+    meta["layout"]["lock_names"] = list(meta["layout"]["lock_names"].values())
+    return json.dumps(meta).encode(), data_bytes
+
+
+def _two_dimensional(meta_bytes, data_bytes):
+    records = np.load(io.BytesIO(data_bytes))
+    return meta_bytes, _npy(records.reshape(1, -1))
+
+
+#: a trace peer's lies: each maps the origin's honest (sidecar, records)
+#: bytes to a well-framed object this store must refuse
+TRACE_LIES = {
+    "flipped_lock": _flip_first_lock,
+    "meta_list": lambda meta_bytes, data_bytes: (b"[]", data_bytes),
+    "meta_null": lambda meta_bytes, data_bytes: (b"null", data_bytes),
+    "records_npz": _as_npz,
+    "lock_names_list": _lock_names_as_list,
+    "records_2d": _two_dimensional,
+}
+
+
 class TestPeerStore:
     def test_read_through_heals_the_local_cache(self, tmp_path, good_result):
         peer_cache = ResultCache(tmp_path / "peer")
@@ -271,30 +316,22 @@ class TestPeerStore:
         assert local_traces.get_bytes(key) == peer_traces.get_bytes(key)
 
 
-    def test_lying_trace_peer_is_rejected_not_committed(self, tmp_path):
-        """A peer serving a well-framed trace whose records break a lock
-        invariant is refused before anything is written locally."""
-        import io
-
-        import numpy as np
-
-        from repro.trace.records import LOCK, UNLOCK
+    @pytest.mark.parametrize("lie", sorted(TRACE_LIES))
+    def test_lying_trace_peer_is_rejected_not_committed(self, tmp_path, lie):
+        """A peer serving a well-framed trace object whose sidecar or
+        records are wrong is refused before anything is written locally."""
         from repro.workloads import generate_trace
 
         origin = TraceCache(tmp_path / "origin")
         ts = generate_trace(GOOD.program, scale=GOOD.scale, seed=GOOD.seed)
         key = origin.put(ts, scale=GOOD.scale, seed=GOOD.seed)
-        meta_bytes, data_bytes = origin.get_bytes(key)
-        records = np.load(io.BytesIO(data_bytes))
-        records["kind"][np.argmax(records["kind"] == LOCK)] = UNLOCK
-        buf = io.BytesIO()
-        np.save(buf, records)
+        meta_bytes, data_bytes = TRACE_LIES[lie](*origin.get_bytes(key))
 
         async def liar(request):
             return {
                 "ok": True,
                 "meta": Blob(meta_bytes, "json"),
-                "records": Blob(buf.getvalue(), "npy"),
+                "records": Blob(data_bytes, "npy"),
             }
 
         local = TraceCache(tmp_path / "local")

@@ -46,7 +46,7 @@ def _contended_traceset(iters=6, hot=400, program="spin-fault"):
     lock = layout.alloc_lock()
     traces = []
     for p in range(N_PROCS):
-        b = TraceBuilder(p, layout, program=program)
+        b = TraceBuilder(p, program=program)
         code = layout.alloc_code(64)
         base = layout.alloc_private(p, 8 * 16)
         for j in range(8):  # warm the working set: later reads all hit

@@ -74,7 +74,7 @@ def _contended_traceset(n_procs=2, iters=3, hot=150, program="spin-prop"):
     lock = layout.alloc_lock()
     traces = []
     for p in range(n_procs):
-        b = TraceBuilder(p, layout, program=program)
+        b = TraceBuilder(p, program=program)
         code = layout.alloc_code(64)
         base = layout.alloc_private(p, 8 * 16)
         for j in range(8):  # warm the working set: later reads all hit

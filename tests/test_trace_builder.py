@@ -13,8 +13,8 @@ def layout():
 
 
 @pytest.fixture
-def b(layout):
-    return TraceBuilder(0, layout, program="t")
+def b():
+    return TraceBuilder(0, program="t")
 
 
 class TestEmission:

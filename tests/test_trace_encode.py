@@ -21,7 +21,7 @@ def sample_traceset(n_procs=3):
     la = layout.alloc_lock()
     traces = []
     for p in range(n_procs):
-        b = TraceBuilder(p, layout, program="sample")
+        b = TraceBuilder(p, program="sample")
         b.block(4, 10, code)
         b.read(sh + 16 * p, reps=2)
         b.lock(0, la)
@@ -61,7 +61,7 @@ class TestRoundTrip:
 
     def test_empty_traces_roundtrip(self, tmp_path):
         layout = AddressLayout(2)
-        traces = [TraceBuilder(p, layout).finish() for p in range(2)]
+        traces = [TraceBuilder(p).finish() for p in range(2)]
         ts = TraceSet(traces, layout, program="empty")
         path = tmp_path / "e.npz"
         save_traceset(ts, path)

@@ -97,7 +97,7 @@ def build_traceset(programs):
     locks = [layout.alloc_lock() for _ in range(4)]
     traces = []
     for p, ops in enumerate(programs):
-        b = TraceBuilder(p, layout, program="prop")
+        b = TraceBuilder(p, program="prop")
         emit(ops, b, layout, p, shared_base, code, locks)
         traces.append(b.finish())
     return TraceSet(traces, layout, program="prop")

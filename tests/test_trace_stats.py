@@ -13,8 +13,8 @@ def layout():
     return AddressLayout(2)
 
 
-def build(layout, fn):
-    b = TraceBuilder(0, layout)
+def build(fn):
+    b = TraceBuilder(0)
     fn(b)
     return b.finish()
 
@@ -27,7 +27,7 @@ class TestReferenceCounts:
             b.block(5, 12, code)
             b.block(3, 8, code)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.work_cycles == 20
         assert s.all_refs == 8  # ifetches only
         assert s.data_refs == 0
@@ -43,7 +43,7 @@ class TestReferenceCounts:
             b.read(pr)
             b.write(sh, reps=3)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.all_refs == 2 + 1 + 1 + 3
         assert s.data_refs == 5
         assert s.shared_refs == 4  # 1 shared read + 3 shared writes
@@ -54,7 +54,7 @@ class TestReferenceCounts:
         def fn(b):
             b.read(la)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.shared_refs == 1
 
     def test_reps_count_every_elementary_ref(self, layout):
@@ -63,7 +63,7 @@ class TestReferenceCounts:
         def fn(b):
             b.read(sh, reps=17)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.data_refs == 17
 
 
@@ -77,7 +77,7 @@ class TestLockHolds:
             b.block(4, 100, code)
             b.unlock(1, la)
 
-        cs = critical_sections(build(layout, fn))
+        cs = critical_sections(build(fn))
         assert len(cs) == 1
         assert (cs[0]["acquire"], cs[0]["release"]) == (0, 2)
         assert cs[0]["end"] - cs[0]["start"] == 100
@@ -95,7 +95,7 @@ class TestLockHolds:
             b.unlock(2, l2)
             b.unlock(1, l1)
 
-        cs = critical_sections(build(layout, fn))
+        cs = critical_sections(build(fn))
         assert dict(zip(cs["lock"].tolist(), cs["depth"].tolist())) == {1: 0, 2: 1}
 
     def test_stats_counts_pairs_and_nesting(self, layout):
@@ -110,7 +110,7 @@ class TestLockHolds:
                 b.unlock(2, l2)
                 b.unlock(1, l1)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.lock_pairs == 6
         assert s.nested_locks == 3
 
@@ -130,7 +130,7 @@ class TestLockHolds:
             b.unlock(1, l1)
             b.block(2, 100, code)  # unlocked tail
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.total_held == 100  # 50+30+20, inner not double-counted
         assert s.work_cycles == 200
         assert s.pct_time_held == pytest.approx(50.0)
@@ -147,7 +147,7 @@ class TestLockHolds:
             b.block(2, 30, code)
             b.unlock(1, la)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.avg_held == pytest.approx(20.0)
 
     def test_no_locks(self, layout):
@@ -156,13 +156,13 @@ class TestLockHolds:
         def fn(b):
             b.block(2, 10, code)
 
-        s = compute_trace_stats(build(layout, fn))
+        s = compute_trace_stats(build(fn))
         assert s.lock_pairs == 0
         assert s.avg_held == 0.0
         assert s.pct_time_held == 0.0
 
     def test_empty_trace(self, layout):
-        s = compute_trace_stats(build(layout, lambda b: None))
+        s = compute_trace_stats(build(lambda b: None))
         assert s.work_cycles == 0
         assert s.all_refs == 0
         assert s.pct_time_held == 0.0

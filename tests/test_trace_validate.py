@@ -53,7 +53,7 @@ class TestValidTraces:
 
     def test_builder_output_always_passes(self):
         layout = AddressLayout(2)
-        b = TraceBuilder(0, layout)
+        b = TraceBuilder(0)
         code = layout.alloc_code(64)
         la = layout.alloc_lock()
         b.block(3, 9, code)

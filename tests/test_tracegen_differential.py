@@ -124,7 +124,7 @@ def _build(rows, segments, how):
     code = layout.alloc_code(256)
     shared = layout.alloc_shared(16384)
     locks = [layout.alloc_lock() for _ in range(3)]
-    b = TraceBuilder(0, layout, program="prop")
+    b = TraceBuilder(0, program="prop")
     concrete = _resolve(rows, layout, 0, code, shared, locks)
     if how == "scalar":
         segments = [("scalar", 0, len(concrete))]
@@ -186,14 +186,14 @@ class TestChunkedBuilderProperties:
         code = layout.alloc_code(1024)
         shared = layout.alloc_shared(n * stride + 64)
 
-        fast = TraceBuilder(0, layout, program="prop")
+        fast = TraceBuilder(0, program="prop")
         fast.blocks(
             np.full(blocks, 7), np.full(blocks, 21), np.full(blocks, code)
         )
         fast.refs(READ, shared + np.arange(n) * 4, reps)
         fast.strided_refs(WRITE, shared, n, stride, reps)
 
-        slow = TraceBuilder(0, layout, program="prop")
+        slow = TraceBuilder(0, program="prop")
         for _ in range(blocks):
             slow.block(7, 21, code)
         for i in range(n):
@@ -216,44 +216,44 @@ class TestBulkErrorSemantics:
     """A bad record emitted through any bulk API is caught at finish()."""
 
     def test_checked_chunk_rejects_bad_code_address(self):
-        layout, _, shared, _ = _layout()
-        b = TraceBuilder(0, layout)
+        _, _, shared, _ = _layout()
+        b = TraceBuilder(0)
         b.append_records(np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE))
         with pytest.raises(TraceBuildError, match="record 0: IBLOCK address"):
             b.finish()
 
     def test_checked_chunk_rejects_zero_instruction_block(self):
-        layout, code, _, _ = _layout()
-        b = TraceBuilder(0, layout)
+        _, code, _, _ = _layout()
+        b = TraceBuilder(0)
         b.append_columns(IBLOCK, code, 0, 12)
         with pytest.raises(TraceBuildError, match="zero instructions"):
             b.finish()
 
     def test_checked_chunk_rejects_zero_reps(self):
-        layout, _, shared, _ = _layout()
-        b = TraceBuilder(0, layout)
+        _, _, shared, _ = _layout()
+        b = TraceBuilder(0)
         b.refs(READ, shared, 0)
         with pytest.raises(TraceBuildError, match="zero repetitions"):
             b.finish()
 
     def test_checked_chunk_rejects_unheld_unlock(self):
-        layout, _, _, lock = _layout()
-        b = TraceBuilder(0, layout)
+        _, _, _, lock = _layout()
+        b = TraceBuilder(0)
         b.append_records(np.array([(UNLOCK, lock, 0, 0)], dtype=RECORD_DTYPE))
         with pytest.raises(TraceBuildError, match="record 0: lock 0 released while not held"):
             b.finish()
 
     def test_checked_chunk_rejects_reacquire(self):
-        layout, _, _, lock = _layout()
-        b = TraceBuilder(0, layout)
+        _, _, _, lock = _layout()
+        b = TraceBuilder(0)
         b.lock(0, lock)
         b.append_records(np.array([(LOCK, lock, 0, 0)], dtype=RECORD_DTYPE))
         with pytest.raises(TraceBuildError, match="record 1: lock 0 re-acquired"):
             b.finish()
 
     def test_finish_rejects_held_locks_from_bulk(self):
-        layout, _, _, lock = _layout()
-        b = TraceBuilder(0, layout)
+        _, _, _, lock = _layout()
+        b = TraceBuilder(0)
         b.extend([LOCK], [lock], [0], [0])
         with pytest.raises(TraceBuildError, match="holding locks"):
             b.finish()
@@ -261,8 +261,8 @@ class TestBulkErrorSemantics:
     def test_unchecked_bulk_defers_to_finish_validator(self):
         """An invalid record emitted through extend() is caught at
         finish()."""
-        layout, code, _, _ = _layout()
-        b = TraceBuilder(0, layout)
+        _, code, _, _ = _layout()
+        b = TraceBuilder(0)
         # a data reference into the code region: structurally invalid
         b.extend([READ], [code], [1], [0])
         with pytest.raises(TraceBuildError, match="failed validation"):
@@ -270,15 +270,15 @@ class TestBulkErrorSemantics:
 
     def test_unchecked_append_records_defers_to_finish_validator(self):
         layout, _, shared, _ = _layout()
-        b = TraceBuilder(0, layout)
+        b = TraceBuilder(0)
         b.block(4, 12, layout.alloc_code(16))
         b.append_records(np.array([(IBLOCK, shared, 4, 12)], dtype=RECORD_DTYPE))
         with pytest.raises(TraceBuildError, match="record 1: IBLOCK address"):
             b.finish()
 
     def test_valid_unchecked_bulk_passes_finish(self):
-        layout, code, shared, lock = _layout()
-        b = TraceBuilder(0, layout)
+        _, code, shared, lock = _layout()
+        b = TraceBuilder(0)
         b.extend(
             [LOCK, IBLOCK, READ, UNLOCK],
             [lock, code, shared, lock],

@@ -15,7 +15,7 @@ from repro.workloads.presto import PrestoRuntime
 @pytest.fixture
 def ctx():
     layout = AddressLayout(2)
-    b = TraceBuilder(0, layout, program="t")
+    b = TraceBuilder(0, program="t")
     return ProcContext(0, b, layout, np.random.default_rng(0), sites={}, cpi=3.0)
 
 
@@ -46,7 +46,7 @@ class TestProcContext:
         sites = {}
         rng = np.random.default_rng(0)
         ctxs = [
-            ProcContext(p, TraceBuilder(p, layout), layout, rng, sites)
+            ProcContext(p, TraceBuilder(p), layout, rng, sites)
             for p in range(2)
         ]
         ctxs[0].compute("f", 6)
@@ -111,7 +111,7 @@ class TestRunCoordinated:
 class TestPrestoRuntime:
     def _ctx(self, layout, p=0):
         return ProcContext(
-            p, TraceBuilder(p, layout), layout, np.random.default_rng(0), sites={}
+            p, TraceBuilder(p), layout, np.random.default_rng(0), sites={}
         )
 
     def test_dispatch_produces_nested_pair(self):
