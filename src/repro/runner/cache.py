@@ -4,11 +4,16 @@ Layout (git-style fan-out to keep directories small)::
 
     <root>/objects/<key[:2]>/<key>.json
 
-Each object stores the full job spec alongside the result so entries
-are self-describing and verifiable: a load checks the payload's format
-version and that its embedded key matches the file's address, and
-anything unreadable or stale is *invalidated* -- counted, deleted, and
-treated as a miss -- rather than trusted.
+An object is one header line -- JSON holding the store ``format``, the
+object's ``key``, the full job ``spec`` (so entries are self-describing)
+and the ``sha256`` of the body -- then ``\n``, then the body: the
+result's canonical JSON (:func:`~repro.runner.serialize.result_to_json`).
+Every load checks the format version, that the embedded key matches the
+file's address and that the body hashes to the recorded digest;
+anything unreadable, stale or edited is *invalidated* -- counted,
+deleted, and treated as a miss -- rather than trusted.  A verified body
+can be served as it was stored (:meth:`ResultCache.get_bytes`), with no
+decode and re-encode.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or
 concurrent writer can never leave a half-written object where a later
@@ -17,17 +22,24 @@ run would find it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..machine.metrics import RunResult
-from .serialize import result_from_dict, result_to_dict
+from .serialize import result_from_json, result_to_json
 from .spec import CACHE_FORMAT, JobSpec
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
+
+#: a cache key is a SHA-256 hex digest; a key read from a URL or a peer
+#: that is anything else (``../x``, say) names no object, and must never
+#: reach the filesystem, where a failed check would delete what it names
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def _mtime(path: Path) -> float:
@@ -93,58 +105,91 @@ class ResultCache:
         except OSError:
             pass
 
+    def _invalidate(self, path: Path) -> None:
+        self.stats.invalidated += 1
+        self.stats.misses += 1
+        self._discard(path)
+
     # ------------------------------------------------------------------
     def get(self, spec: JobSpec) -> RunResult | None:
         """The cached result for ``spec``, or ``None`` on a miss.
 
-        Corrupt, truncated, or format-stale entries are deleted and
-        counted in ``stats.invalidated``.
+        Corrupt, truncated, edited or format-stale entries are deleted
+        and counted in ``stats.invalidated``.
         """
         return self.get_by_key(spec.cache_key())
 
     def get_by_key(self, key: str) -> RunResult | None:
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.stats.invalidated += 1
-            self.stats.misses += 1
-            self._discard(path)
+        body = self._verified_body(key)
+        if body is None:
             return None
         try:
-            if payload["format"] != CACHE_FORMAT or payload["key"] != key:
-                raise ValueError("stale or mismatched cache object")
-            result = result_from_dict(payload["result"])
+            result = result_from_json(body)
         except Exception:
-            # *any* parse failure means the object is corrupt or stale --
+            # *any* decode failure means the object is corrupt or stale --
             # a cache must self-heal (discard + miss), never raise: the
             # narrower (KeyError, TypeError, ValueError) let e.g. an
             # AttributeError from a malformed payload escape to callers
-            self.stats.invalidated += 1
-            self.stats.misses += 1
-            self._discard(path)
+            self._invalidate(self.path_for(key))
             return None
         self.stats.hits += 1
         return result
 
+    def get_bytes(self, key: str) -> bytes | None:
+        """The stored canonical JSON body for ``key``, undecoded, or
+        ``None`` on a miss -- returned only after the format, key and
+        digest checks pass, so it can be served as it is."""
+        body = self._verified_body(key)
+        if body is not None:
+            self.stats.hits += 1
+        return body
+
+    def _verified_body(self, key: str) -> bytes | None:
+        """Read and check one object; counts misses and invalidations
+        (the caller counts the hit)."""
+        if not _KEY.fullmatch(key):
+            self.stats.misses += 1
+            return None
+        path = self.path_for(key)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return None
+        except OSError:
+            self._invalidate(path)
+            return None
+        head, newline, body = data.partition(b"\n")
+        try:
+            header = json.loads(head)
+            valid = (
+                header["format"] == CACHE_FORMAT
+                and header["key"] == key
+                and header["sha256"] == hashlib.sha256(body).hexdigest()
+            )
+        except (ValueError, TypeError, KeyError):
+            valid = False
+        if not (newline and valid):
+            self._invalidate(path)
+            return None
+        return body
+
     def put(self, spec: JobSpec, result: RunResult) -> str:
         """Store ``result`` under ``spec``'s key; returns the key."""
         key = spec.cache_key()
-        payload = {
+        body = result_to_json(result).encode()
+        header = {
             "format": CACHE_FORMAT,
             "key": key,
             "spec": spec.to_dict(),
-            "result": result_to_dict(result),
+            "sha256": hashlib.sha256(body).hexdigest(),
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
             os.replace(tmp, path)
         except BaseException:
             self._discard(Path(tmp))

@@ -139,10 +139,15 @@ def result_from_dict(d: dict) -> RunResult:
 
 
 def result_to_json(r: RunResult, indent: int | None = None) -> str:
-    return json.dumps(result_to_dict(r), indent=indent, sort_keys=True)
+    """Canonical JSON of ``r``: sorted keys and, without ``indent``,
+    compact separators -- the bytes the result store keeps and serves."""
+    separators = (",", ":") if indent is None else None
+    return json.dumps(
+        result_to_dict(r), indent=indent, sort_keys=True, separators=separators
+    )
 
 
-def result_from_json(text: str) -> RunResult:
+def result_from_json(text: str | bytes) -> RunResult:
     return result_from_dict(json.loads(text))
 
 
@@ -223,7 +228,12 @@ def result_to_bytes(r: RunResult) -> bytes:
 
 
 def result_from_bytes(data: bytes) -> RunResult:
-    """Exact inverse of :func:`result_to_bytes`."""
+    """Exact inverse of :func:`result_to_bytes`.
+
+    Blobs arrive from peers, so anything malformed -- short, a bad
+    magic, a descriptor missing a field or holding the wrong type, a
+    truncated or overlong numeric section -- raises ``ValueError``.
+    """
     if len(data) < _CODEC_HEADER.size:
         raise ValueError(f"result blob of {len(data)} bytes is too short")
     magic, desc_len = _CODEC_HEADER.unpack_from(data)
@@ -231,7 +241,20 @@ def result_from_bytes(data: bytes) -> RunResult:
         raise ValueError(f"bad result codec magic {magic!r}")
     desc_end = _CODEC_HEADER.size + desc_len
     desc = json.loads(data[_CODEC_HEADER.size : desc_end])
-    arr = np.frombuffer(data[desc_end:], dtype=np.dtype(desc["dtype"]))
+    if not isinstance(desc, dict):
+        raise ValueError("result blob descriptor is not an object")
+    try:
+        return _decode_blob(desc, data[desc_end:])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"malformed result blob descriptor: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _decode_blob(desc: dict, numeric: bytes) -> RunResult:
+    if desc["dtype"] not in ("<i4", "<i8"):
+        raise ValueError(f"result blob dtype {desc['dtype']!r} is not <i4 or <i8")
+    arr = np.frombuffer(numeric, dtype=np.dtype(desc["dtype"]))
     values = arr.tolist()  # native python ints, exactly as serialized
 
     cursor = 0
@@ -262,6 +285,8 @@ def result_from_bytes(data: bytes) -> RunResult:
         meta = dict(zip(desc["meta_keys"], take(len(desc["meta_keys"]))))
     else:
         meta = dict(desc.get("meta", {}))
+    if cursor != len(values):
+        raise ValueError(f"result blob has {len(values) - cursor} trailing values")
     return RunResult(
         program=desc["program"],
         lock_scheme=desc["lock_scheme"],

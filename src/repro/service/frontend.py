@@ -35,7 +35,7 @@ import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
-from ..runner.executor import JobFailure
+from ..runner.serialize import result_to_json
 from ..runner.spec import JobSpec
 from .aggregator import StreamAggregator
 from .planner import grid_specs
@@ -98,7 +98,15 @@ class ServiceServer:
     async def _connection(self, reader, writer) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # the stream cannot be trusted past a malformed
+                    # request: answer it, then close
+                    error = _json({"error": str(exc)})
+                    self._write_response(writer, 400, error, "application/json", False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -161,7 +169,10 @@ class ServiceServer:
                 break
             name, _, value = h.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length") or "0"
+        if not raw_length.isdecimal():
+            raise _BadRequest(f"Content-Length {raw_length!r:.40} is not a byte count")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _BadRequest(f"body of {length} bytes exceeds the limit")
         body = await reader.readexactly(length) if length else b""
@@ -231,12 +242,10 @@ class ServiceServer:
         cache = self.scheduler.cache
         if cache is None:
             return 404, _json({"error": "service runs without a result cache"}), "application/json"
-        result = cache.get_by_key(key)
-        if result is None:
+        body = cache.get_bytes(key)
+        if body is None:
             return 404, _json({"error": f"no cached result for key {key}"}), "application/json"
-        from ..runner.serialize import result_to_dict
-
-        return 200, _json({"key": key, "result": result_to_dict(result)}), "application/json"
+        return 200, _with_result({"key": key}, body), "application/json"
 
     async def _submit(self, body: bytes):
         try:
@@ -252,7 +261,8 @@ class ServiceServer:
         outs = await self.scheduler.submit_grid(
             specs, n_shards=request.get("n_shards"), priority=priority
         )
-        results = []
+        include_results = request.get("include_results", True)
+        entries = []
         for out in outs:
             self.aggregator.record(out.manifest_record())
             entry = {
@@ -263,23 +273,26 @@ class ServiceServer:
                 "attempts": out.attempts,
                 "elapsed_s": round(out.elapsed_s, 6),
             }
-            if isinstance(out.outcome, JobFailure):
+            if not out.ok:
                 entry["error"] = {
                     "kind": out.outcome.kind,
                     "message": out.outcome.message,
                     "attempts": out.outcome.attempts,
                 }
-            elif request.get("include_results", True):
-                from ..runner.serialize import result_to_dict
-
-                entry["result"] = result_to_dict(out.outcome)
-            results.append(entry)
-        payload = {
-            "results": results,
-            "summary": self.aggregator.summary(),
-            "metrics": self.scheduler.metrics.to_dict(),
-        }
-        return 200, _json(payload), "application/json"
+            if out.ok and include_results:
+                # a hit's result is the store's verified bytes, undecoded
+                body = out.result_json or result_to_json(out.outcome).encode()
+                entries.append(_with_result(entry, body))
+            else:
+                entries.append(_json(entry))
+        tail = _json(
+            {
+                "summary": self.aggregator.summary(),
+                "metrics": self.scheduler.metrics.to_dict(),
+            }
+        )
+        payload = b'{"results": [' + b", ".join(entries) + b"], " + tail[1:]
+        return 200, payload, "application/json"
 
     @staticmethod
     def _parse_specs(request: dict) -> list[JobSpec]:
@@ -311,6 +324,12 @@ class ServiceServer:
 
 def _json(obj) -> bytes:
     return json.dumps(obj).encode()
+
+
+def _with_result(obj: dict, body: bytes) -> bytes:
+    """``obj`` as JSON with one more member, ``"result"``, whose value is
+    ``body`` -- already-encoded JSON, spliced in without decoding."""
+    return _json(obj)[:-1] + b', "result": ' + body + b"}"
 
 
 # ----------------------------------------------------------------------

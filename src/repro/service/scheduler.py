@@ -48,7 +48,7 @@ from ..runner.executor import (
     _execute,
 )
 from ..runner.manifest import append_record, load_completed
-from ..runner.serialize import result_from_dict
+from ..runner.serialize import result_from_dict, result_from_json
 from ..runner.spec import JobSpec
 from ..trace.cache import resolve_trace_cache
 from .metrics import ServiceMetrics
@@ -118,20 +118,35 @@ class CellOutcome:
     ``"remote"`` (fetched from a peer store and healed locally),
     ``"ok"`` (simulated by this request), ``"attached"`` (joined an
     identical in-flight job and shares its result), or ``"failed"``.
+
+    A hit carries the store's verified canonical JSON in
+    ``result_json`` and decodes it into :attr:`outcome` only when that
+    is first read, so a hit served over HTTP is never decoded.
     """
 
     spec: JobSpec
     key: str
     status: str
-    outcome: object  # RunResult | JobFailure
+    _outcome: object = None  # RunResult | JobFailure; None until a hit decodes
     attempts: int = 0
     elapsed_s: float = 0.0
     #: serialized result payload (present when this request executed)
     result_dict: dict | None = field(default=None, repr=False)
+    #: stored canonical JSON of a hit (see ResultCache.get_bytes)
+    result_json: bytes | None = field(default=None, repr=False)
+
+    @property
+    def outcome(self):
+        """The :class:`RunResult` or :class:`JobFailure`."""
+        if self._outcome is None and self.result_json is not None:
+            self._outcome = result_from_json(self.result_json)
+        return self._outcome
 
     @property
     def ok(self) -> bool:
-        return not isinstance(self.outcome, JobFailure)
+        # an undecoded hit is ok; an attached cell whose owner failed
+        # carries the owner's JobFailure, so the status alone cannot say
+        return not isinstance(self._outcome, JobFailure)
 
     def manifest_record(self) -> dict:
         """The executor-manifest-schema record for this outcome."""
@@ -305,11 +320,11 @@ class Scheduler:
         self.metrics.count("requests")
         if high:
             self.metrics.count("priority_high")
-        hit = self.cache.get_by_key(key) if self.cache is not None else None
+        hit = self.cache.get_bytes(key) if self.cache is not None else None
         self.metrics.observe("lookup", time.perf_counter() - t0)
         if hit is not None:
             self.metrics.count("cache_hits")
-            out = CellOutcome(spec, key, "hit", hit)
+            out = CellOutcome(spec, key, "hit", result_json=hit)
             out.elapsed_s = time.perf_counter() - t0
             self.metrics.observe("total", out.elapsed_s)
             return out
@@ -414,12 +429,16 @@ class Scheduler:
             self.metrics.count("requests")
             if high:
                 self.metrics.count("priority_high")
-            hit = self.cache.get_by_key(key) if self.cache is not None else None
+            hit = self.cache.get_bytes(key) if self.cache is not None else None
             self.metrics.observe("lookup", time.perf_counter() - t0)
             if hit is not None:
                 self.metrics.count("cache_hits")
                 out = CellOutcome(
-                    spec, key, "hit", hit, elapsed_s=time.perf_counter() - t0
+                    spec,
+                    key,
+                    "hit",
+                    result_json=hit,
+                    elapsed_s=time.perf_counter() - t0,
                 )
                 self.metrics.observe("total", out.elapsed_s)
                 outs[i] = out

@@ -15,15 +15,15 @@ speaking the same ``has``/``fetch`` ops -- into one read-through tier:
 
 Results travel as compact ``result-v1`` blobs, traces as their raw
 ``json`` sidecar and ``npy`` records blobs.  A fetched result is
-checked against the spec it was asked for before it is healed or
-served: a peer whose result names another program, lock scheme,
-consistency model or processor count is skipped and counted in
-``remote_rejects``.  A fetched trace is validated before it is
-committed (:meth:`~repro.trace.cache.TraceCache.put_bytes`); a peer
-whose trace fails is skipped and counted the same way.  A dead or
-stale peer is skipped, never fatal: the store tier is an optimization
-layer on top of simulation, and simulation always remains the
-fallback.
+decoded and checked against the spec it was asked for before it is
+healed or served: a peer whose payload does not decode, or whose result
+names another program, lock scheme, consistency model or processor
+count, is skipped and counted in ``remote_rejects``.  A fetched trace
+is validated before it is committed
+(:meth:`~repro.trace.cache.TraceCache.put_bytes`); a peer whose trace
+fails is skipped and counted the same way.  A dead or stale peer is
+skipped, never fatal: the store tier is an optimization layer on top of
+simulation, and simulation always remains the fallback.
 """
 
 from __future__ import annotations
@@ -131,10 +131,15 @@ class PeerStore:
                 response = await transport.call(
                     {"op": "fetch", "kind": "result", "key": key}
                 )
-                if not response.get("ok"):
-                    continue
-                result = decode_fetched_result(response)
             except Exception:
+                continue  # dead peer: the tier degrades, never fails
+            if not response.get("ok"):
+                continue
+            try:
+                result = decode_fetched_result(response)
+            except ValueError:
+                # truncated, foreign or wrongly tagged payload
+                self._count("remote_rejects")
                 continue
             if spec is not None and not result_matches_spec(result, spec):
                 self._count("remote_rejects")

@@ -2,13 +2,21 @@
 key itself: a hit must equal a fresh simulation, and every field of the
 job spec must contribute to the key."""
 
+import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
 
 from repro.machine.config import CacheConfig, MachineConfig, MemoryConfig
-from repro.runner import CACHE_FORMAT, JobSpec, ResultCache, traceset_digest
+from repro.runner import (
+    CACHE_FORMAT,
+    JobSpec,
+    ResultCache,
+    result_to_dict,
+    traceset_digest,
+)
 from repro.workloads import generate_trace
 
 SPEC = JobSpec(program="fullconn", scale=0.05, seed=1991)
@@ -17,6 +25,16 @@ SPEC = JobSpec(program="fullconn", scale=0.05, seed=1991)
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+def _split_object(path):
+    """A stored object's (header dict, body bytes)."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def _write_object(path, header, body):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 class TestCacheHitEqualsFresh:
@@ -112,6 +130,21 @@ class TestCacheKeySensitivity:
             JobSpec(program="")
 
 
+class TestStoredBytes:
+    def test_get_bytes_is_the_canonical_result_json(self, cache):
+        fresh = SPEC.run()
+        key = cache.put(SPEC, fresh)
+        body = cache.get_bytes(key)
+        assert json.loads(body) == result_to_dict(fresh)
+        assert body == json.dumps(
+            result_to_dict(fresh), sort_keys=True, separators=(",", ":")
+        ).encode()
+        header, _ = _split_object(cache.path_for(key))
+        assert header["sha256"] == hashlib.sha256(body).hexdigest()
+        assert header["spec"] == SPEC.to_dict()
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+
+
 class TestCacheInvalidation:
     def test_corrupt_object_is_invalidated(self, cache):
         cache.put(SPEC, SPEC.run())
@@ -124,18 +157,18 @@ class TestCacheInvalidation:
     def test_stale_format_is_invalidated(self, cache):
         cache.put(SPEC, SPEC.run())
         path = cache.path_for(SPEC.cache_key())
-        payload = json.loads(path.read_text())
-        payload["format"] = CACHE_FORMAT + 1
-        path.write_text(json.dumps(payload))
+        header, body = _split_object(path)
+        header["format"] = CACHE_FORMAT + 1
+        _write_object(path, header, body)
         assert cache.get(SPEC) is None
         assert cache.stats.invalidated == 1
 
     def test_key_mismatch_is_invalidated(self, cache):
         cache.put(SPEC, SPEC.run())
         path = cache.path_for(SPEC.cache_key())
-        payload = json.loads(path.read_text())
-        payload["key"] = "0" * 64
-        path.write_text(json.dumps(payload))
+        header, body = _split_object(path)
+        header["key"] = "0" * 64
+        _write_object(path, header, body)
         assert cache.get(SPEC) is None
         assert cache.stats.invalidated == 1
 
@@ -157,12 +190,59 @@ class TestCacheInvalidation:
         like any other corrupt object instead of escaping to the caller."""
         cache.put(SPEC, SPEC.run())
         path = cache.path_for(SPEC.cache_key())
-        payload = json.loads(path.read_text())
-        payload["result"]["bus_op_counts"] = ["not", "a", "mapping"]
-        path.write_text(json.dumps(payload))
+        header, body = _split_object(path)
+        result = json.loads(body)
+        result["bus_op_counts"] = ["not", "a", "mapping"]
+        body = json.dumps(result).encode()
+        # re-signed, so the digest passes and the decode must self-heal
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+        _write_object(path, header, body)
         assert cache.get(SPEC) is None
         assert cache.stats.invalidated == 1
         assert not path.exists()
+
+    def test_edited_digit_is_invalidated_not_served(self, cache):
+        """A key addresses a spec, not content: one edited digit in a
+        stored result must fail its digest instead of being served."""
+        fresh = SPEC.run()
+        cache.put(SPEC, fresh)
+        path = cache.path_for(SPEC.cache_key())
+        data = path.read_bytes()
+        match = re.search(rb'("run_time": ?)(\d+)', data)
+        edited = b"%d" % (int(match.group(2)) + 1)
+        path.write_bytes(data[: match.start(2)] + edited + data[match.end(2) :])
+        assert cache.get(SPEC) is None
+        assert cache.stats.invalidated == 1
+        assert not path.exists()
+
+    def test_parent_layout_object_is_invalidated(self, cache):
+        """An object in the single-document layout (no header line, no
+        digest) is stale, like any other format mismatch."""
+        fresh = SPEC.run()
+        key = cache.put(SPEC, fresh)
+        path = cache.path_for(key)
+        payload = {
+            "format": CACHE_FORMAT,
+            "key": key,
+            "spec": SPEC.to_dict(),
+            "result": result_to_dict(fresh),
+        }
+        path.write_text(json.dumps(payload, sort_keys=True))
+        assert cache.get_bytes(key) is None
+        assert cache.stats.invalidated == 1
+        assert not path.exists()
+
+    def test_key_outside_the_store_is_a_miss(self, tmp_path, cache):
+        """Keys arrive from URLs and peers: one that is not a digest
+        names no object, and nothing outside the store is read or
+        deleted."""
+        cache.put(SPEC, SPEC.run())
+        victim = tmp_path / "victim.json"
+        victim.write_text("{}")
+        assert cache.get_by_key("../victim") is None
+        assert cache.get_bytes("../victim") is None
+        assert victim.exists()
+        assert (cache.stats.misses, cache.stats.invalidated) == (2, 0)
 
     def test_heals_then_repopulates(self, cache):
         cache.put(SPEC, SPEC.run())

@@ -4,19 +4,25 @@ using the same blocking :class:`ServiceClient` the CLI uses."""
 
 import asyncio
 import json
+import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.runner import JobSpec, ResultCache
+from repro.runner import serialize
 from repro.service import Scheduler, ServiceClient, ServiceServer
 
 pytestmark = pytest.mark.service
 
 GOOD = JobSpec(program="fullconn", scale=0.05)
+GOOD2 = JobSpec(program="qsort", scale=0.05)
 FAULTY = JobSpec(program="does-not-exist", scale=0.05)
+GRID = {"programs": ["fullconn", "qsort"], "locks": ["queuing", "ttas"], "scale": 0.05}
 
 
 @pytest.fixture
@@ -161,3 +167,110 @@ class TestErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(server.url + "/nope", timeout=30)
         assert info.value.code == 404
+
+
+def _reference_result(spec: JobSpec) -> dict:
+    """What the front end answered for ``spec`` before hits were served
+    as stored bytes: ``result_to_dict`` of a fresh run, through JSON."""
+    return json.loads(json.dumps(serialize.result_to_dict(spec.run())))
+
+
+def _forbid_result_codec(monkeypatch) -> None:
+    """Make ``result_from_dict`` and ``result_to_dict`` raise in every
+    ``repro`` module that holds them."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stored result was decoded or re-encoded")
+
+    for name in ("result_from_dict", "result_to_dict"):
+        original = getattr(serialize, name)
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+class TestStoredBytes:
+    ENTRY_FIELDS = ["key", "label", "status", "ok", "attempts", "elapsed_s"]
+
+    def test_warm_grid_never_decodes_a_hit(self, service, monkeypatch):
+        _server, client = service
+        cold = client.submit(grid=GRID)
+        _forbid_result_codec(monkeypatch)
+        warm = client.submit(grid=GRID)
+        assert [r["status"] for r in warm["results"]] == ["hit"] * 4
+        assert [r["result"] for r in warm["results"]] == [
+            r["result"] for r in cold["results"]
+        ]
+        key = cold["results"][0]["key"]
+        assert client.result(key) == cold["results"][0]["result"]
+
+    def _check_entries(self, response, expected: dict, include_results=True):
+        assert list(response) == ["results", "summary", "metrics"]
+        for entry in response["results"]:
+            reference = {name: entry[name] for name in self.ENTRY_FIELDS}
+            if not entry["ok"]:
+                reference["error"] = entry["error"]
+                assert list(entry["error"]) == ["kind", "message", "attempts"]
+            elif include_results:
+                reference["result"] = expected[entry["label"]]
+            assert list(entry) == list(reference)
+            assert entry == reference
+
+    def test_responses_parse_to_the_reference_entries(self, service):
+        """Hits, executed cells, a failed cell, a results-free submit and
+        ``GET /result`` all parse to what ``result_to_dict`` gives."""
+        _server, client = service
+        expected = {spec.label(): _reference_result(spec) for spec in (GOOD, GOOD2)}
+        cold = client.submit(specs=[GOOD, FAULTY])
+        assert [r["status"] for r in cold["results"]] == ["ok", "failed"]
+        self._check_entries(cold, expected)
+        mixed = client.submit(specs=[GOOD, GOOD2, FAULTY])
+        assert [r["status"] for r in mixed["results"]] == ["hit", "ok", "failed"]
+        self._check_entries(mixed, expected)
+        bare = client.submit(specs=[GOOD, GOOD2, FAULTY], include_results=False)
+        assert [r["status"] for r in bare["results"]] == ["hit", "hit", "failed"]
+        self._check_entries(bare, expected, include_results=False)
+        for spec in (GOOD, GOOD2):
+            raw = json.loads(client._request(f"/result/{spec.cache_key()}"))
+            assert raw == {"key": spec.cache_key(), "result": expected[spec.label()]}
+
+
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; everything the server
+    sends back before it closes."""
+    where = urlsplit(url)
+    with socket.create_connection((where.hostname, where.port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedRequests:
+    CASES = {
+        "request_line": (b"NONSENSE\r\n\r\n", "malformed request line"),
+        "content_length": (
+            b"POST /submit HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+            "Content-Length 'many' is not a byte count",
+        ),
+        "body_limit": (
+            b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (64 * 1024 * 1024 + 1),
+            "exceeds the limit",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_answered_with_400_then_closed(self, service, case):
+        server, client = service
+        request, problem = self.CASES[case]
+        reply = _raw_exchange(server.url, request)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert problem in json.loads(body)["error"]
+        assert client.healthy()

@@ -5,6 +5,7 @@ peers return, and the scheduler's ``remote`` outcome path."""
 import asyncio
 import io
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,41 @@ def _lying_peer(result):
     return InProcessTransport(handler)
 
 
+def _repacked(blob: bytes, edit_desc, edit_values=None) -> bytes:
+    """``blob`` with its descriptor (and numeric values) rewritten."""
+    (desc_len,) = struct.unpack_from("!I", blob, 4)
+    desc = json.loads(blob[8 : 8 + desc_len])
+    values = np.frombuffer(blob[8 + desc_len :], dtype=desc["dtype"])
+    edit_desc(desc)
+    if edit_values is not None:
+        values = edit_values(values)
+    packed = json.dumps(desc).encode()
+    numeric = np.asarray(values, dtype=desc["dtype"]).tobytes()
+    return blob[:4] + struct.pack("!I", len(packed)) + packed + numeric
+
+
+def _float_dtype(desc):
+    desc["dtype"] = "<f8"
+
+
+#: a result peer's malformed payloads: each maps the honest blob to
+#: (bytes, codec tag) that must not decode
+BLOB_LIES = {
+    "truncated": lambda blob: (blob[: len(blob) // 2], RESULT_CODEC),
+    "bad_magic": lambda blob: (b"XXXX" + blob[4:], RESULT_CODEC),
+    "missing_rows": lambda blob: (
+        _repacked(blob, lambda desc: desc.pop("rows")),
+        RESULT_CODEC,
+    ),
+    "wrong_codec": lambda blob: (blob, "result-v0"),
+    "float_values": lambda blob: (_repacked(blob, _float_dtype), RESULT_CODEC),
+    "trailing_values": lambda blob: (
+        _repacked(blob, lambda desc: None, lambda v: np.append(v, 7)),
+        RESULT_CODEC,
+    ),
+}
+
+
 class TestPeerVerification:
     #: each lie differs from the fullconn/queuing/sc spec in one label
     LIES = {
@@ -145,6 +181,33 @@ class TestPeerVerification:
         "consistency": {"consistency": "wo"},
         "n_procs": {"n_procs": 2},
     }
+
+    @pytest.mark.parametrize("lie", sorted(BLOB_LIES))
+    def test_undecodable_peer_result_is_rejected(self, tmp_path, good_result, lie):
+        data, codec = BLOB_LIES[lie](result_to_bytes(good_result))
+        with pytest.raises(ValueError):
+            decode_fetched_result({"ok": True, "payload": Blob(data, codec)})
+
+        async def liar(request):
+            return {"ok": True, "key": request["key"], "payload": Blob(data, codec)}
+
+        local = ResultCache(tmp_path / "local")
+        metrics = ServiceMetrics()
+        store = PeerStore([InProcessTransport(liar)], cache=local, metrics=metrics)
+        key = GOOD.cache_key()
+        assert asyncio.run(store.fetch_result(key, spec=GOOD)) is None
+        assert not local.has_key(key)
+        assert (metrics.remote_rejects, metrics.remote_hits) == (1, 0)
+
+        scheduler = Scheduler(
+            cache=ResultCache(tmp_path / "front"),
+            trace_cache=False,
+            peers=[InProcessTransport(liar)],
+        )
+        out = asyncio.run(scheduler.submit(GOOD))
+        assert out.status == "ok"
+        assert out.outcome == good_result
+        assert scheduler.metrics.remote_rejects == 1
 
     @pytest.mark.parametrize("label", sorted(LIES))
     def test_lying_peer_is_rejected_not_healed(self, tmp_path, good_result, label):
