@@ -1,0 +1,166 @@
+"""Paired per-cell simulation CPU of two source trees.
+
+Times ``JobSpec.run`` for every cell of the paper grid (six programs,
+six lock schemes, SC and WO) in two worker processes, one importing
+``repro`` from each tree, and compares them cell by cell::
+
+    python benchmarks/paired_cells.py A_SRC B_SRC [--rounds N] [--scale X] [--seed N]
+
+``A_SRC`` and ``B_SRC`` are ``src`` directories, each holding a
+``repro`` package; a worker refuses to start if ``repro`` imports from
+anywhere else.  Both workers generate every trace and build the
+interpreter tables before timing starts, and both pin themselves to the
+same CPU, so they never run at once and always run on the same core.
+Within a round, consecutive cells alternate which side runs first.
+
+The tool stops without printing a ratio if any cell's result digest
+(SHA-256 of its canonical ``result_to_dict`` JSON) differs between the
+two sides.  Otherwise it prints B/A of the summed simulation CPU per
+round and per program.  Running a tree against itself (an A/A run)
+shows how far apart two identical sides read on the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+PROGRAMS = ("grav", "pdsa", "fullconn", "pverify", "qsort", "topopt")
+LOCKS = ("queuing", "ttas", "mcs", "clh", "ticket", "backoff")
+MODELS = ("sc", "wo")
+CELLS = [(p, s, m) for p in PROGRAMS for s in LOCKS for m in MODELS]
+
+
+def _worker(src: str, scale: float, seed: int, cpu: int) -> int:
+    """Serve timing requests on stdin: one cell index per line in, one
+    JSON reply per line out."""
+    os.sched_setaffinity(0, {cpu})
+    package = (Path(src) / "repro").resolve()
+    sys.path.insert(0, str(Path(src).resolve()))
+    import repro
+
+    if Path(repro.__file__).resolve().parent != package:
+        print(f"imported repro from {repro.__file__}, not {package}", file=sys.stderr)
+        return 2
+    from repro.runner import JobSpec, result_to_dict
+    from repro.workloads import generate_trace
+
+    traces = {p: generate_trace(p, scale=scale, seed=seed) for p in PROGRAMS}
+    specs = [
+        JobSpec(
+            program=p,
+            scale=scale,
+            seed=seed,
+            lock_scheme=s,
+            consistency=m,
+            traceset=traces[p],
+        )
+        for p, s, m in CELLS
+    ]
+    for p in PROGRAMS:  # build each trace's interpreter tables untimed
+        specs[CELLS.index((p, LOCKS[0], MODELS[0]))].run()
+    print(json.dumps({"ready": repro.__file__}), flush=True)
+    for line in sys.stdin:
+        spec = specs[int(line)]
+        t0 = time.process_time()
+        result = spec.run()
+        cpu_s = time.process_time() - t0
+        canon = json.dumps(
+            result_to_dict(result), sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(canon.encode()).hexdigest()
+        print(json.dumps({"cpu_s": cpu_s, "digest": digest}), flush=True)
+    return 0
+
+
+def _start(src: str, args, cpu: int) -> subprocess.Popen:
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith("REPRO_") and k != "PYTHONPATH"
+    }
+    cmd = [
+        sys.executable,
+        __file__,
+        "--worker",
+        src,
+        "--scale",
+        repr(args.scale),
+        "--seed",
+        str(args.seed),
+        "--cpu",
+        str(cpu),
+    ]
+    return subprocess.Popen(
+        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
+    )
+
+
+def _read(proc: subprocess.Popen, side: str) -> dict:
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"worker {side} exited (code {proc.wait()})")
+    return json.loads(line)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("a_src", nargs="?", help="src directory of side A (the baseline)")
+    p.add_argument("b_src", nargs="?", help="src directory of side B")
+    p.add_argument("--rounds", type=int, default=4)
+    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=1991)
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    p.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        return _worker(args.worker, args.scale, args.seed, args.cpu)
+    if not (args.a_src and args.b_src):
+        p.error("A_SRC and B_SRC are required")
+
+    cpu = max(os.sched_getaffinity(0))
+    workers = {"A": _start(args.a_src, args, cpu), "B": _start(args.b_src, args, cpu)}
+    n = len(CELLS)
+    cpu_s = {side: [[0.0] * n for _ in range(args.rounds)] for side in workers}
+    try:
+        for side, proc in workers.items():
+            print(f"{side}: {_read(proc, side)['ready']}", flush=True)
+        for r in range(args.rounds):
+            for i in range(n):
+                order = ("A", "B") if (i + r) % 2 == 0 else ("B", "A")
+                digests = {}
+                for side in order:
+                    proc = workers[side]
+                    proc.stdin.write(f"{i}\n")
+                    proc.stdin.flush()
+                    reply = _read(proc, side)
+                    cpu_s[side][r][i] = reply["cpu_s"]
+                    digests[side] = reply["digest"]
+                if digests["A"] != digests["B"]:
+                    label = "/".join(CELLS[i])
+                    print(f"result digests differ on {label}: {digests}", file=sys.stderr)
+                    return 1
+            a, b = sum(cpu_s["A"][r]), sum(cpu_s["B"][r])
+            print(f"round {r + 1}: A {a:.3f} s  B {b:.3f} s  B/A {b / a:.4f}", flush=True)
+    finally:
+        for proc in workers.values():
+            proc.stdin.close()
+            proc.wait(timeout=60)
+
+    print(f"\n{'program':<10} {'A_s':>9} {'B_s':>9} {'B/A':>7}")
+    for prog in PROGRAMS + ("total",):
+        idx = [i for i, c in enumerate(CELLS) if prog in (c[0], "total")]
+        a = sum(cpu_s["A"][r][i] for r in range(args.rounds) for i in idx)
+        b = sum(cpu_s["B"][r][i] for r in range(args.rounds) for i in idx)
+        print(f"{prog:<10} {a:>9.3f} {b:>9.3f} {b / a:>7.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 __all__ = ["main", "build_parser"]
 
@@ -108,8 +109,8 @@ def _add_trace_cache_options(sp: argparse.ArgumentParser) -> None:
         "--trace-cache-dir",
         default=None,
         help=(
-            "trace-cache directory (default: $REPRO_TRACE_CACHE_DIR or "
-            "<result cache>/traces)"
+            "trace-cache directory (default: DIR/traces for --cache-dir DIR, "
+            "else $REPRO_TRACE_CACHE_DIR or <result cache>/traces)"
         ),
     )
     sp.add_argument(
@@ -518,6 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _trace_cache_root(args):
+    """The trace-cache directory the flags name: ``--trace-cache-dir``,
+    else ``<--cache-dir>/traces``, else ``None`` (the default location)."""
+    root = getattr(args, "trace_cache_dir", None)
+    cache_dir = getattr(args, "cache_dir", None)
+    if root is None and cache_dir is not None:
+        root = Path(cache_dir) / "traces"
+    return root
+
+
 def _trace_cache_arg(args):
     """The ``trace_cache`` argument implied by shared CLI flags: a
     handle (cache on), or ``False`` (off, ignoring the environment)."""
@@ -525,7 +536,7 @@ def _trace_cache_arg(args):
         return False
     from .trace.cache import TraceCache
 
-    return TraceCache(getattr(args, "trace_cache_dir", None))
+    return TraceCache(_trace_cache_root(args))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -691,12 +702,7 @@ def _run_cache(args) -> int:
     from .trace.cache import TraceCache
 
     cache = ResultCache(args.cache_dir)
-    # an explicit --cache-dir relocates the trace cache alongside it
-    # unless --trace-cache-dir pins it elsewhere
-    trace_root = args.trace_cache_dir
-    if trace_root is None and args.cache_dir is not None:
-        trace_root = cache.root / "traces"
-    tcache = TraceCache(trace_root)
+    tcache = TraceCache(_trace_cache_root(args))
     if args.action == "stats":
         if args.json:
             import json

@@ -151,27 +151,33 @@ class CacheBusBuffer:
 
     def push(self, op: BusOp) -> None:
         """Append at the tail (program order)."""
-        self.entries.append(op)
+        entries = self.entries
+        entries.append(op)
         if op.kind == WRITEBACK:
             self.wb_count += 1
             if self.wb_shared is not None:
                 self.wb_shared[0] += 1
-        if len(self.entries) > self.max_occupancy:
-            self.max_occupancy = len(self.entries)
-        if self.ready_cb is not None:
-            self.ready_cb()
+        n = len(entries)
+        if n > self.max_occupancy:
+            self.max_occupancy = n
+        cb = self.ready_cb
+        if cb is not None:
+            cb()
 
     def push_front(self, op: BusOp) -> None:
         """Bypass to the head (weak-ordering load/ifetch bypass)."""
-        self.entries.appendleft(op)
+        entries = self.entries
+        entries.appendleft(op)
         if op.kind == WRITEBACK:
             self.wb_count += 1
             if self.wb_shared is not None:
                 self.wb_shared[0] += 1
-        if len(self.entries) > self.max_occupancy:
-            self.max_occupancy = len(self.entries)
-        if self.ready_cb is not None:
-            self.ready_cb()
+        n = len(entries)
+        if n > self.max_occupancy:
+            self.max_occupancy = n
+        cb = self.ready_cb
+        if cb is not None:
+            cb()
 
     # -- bus port interface ------------------------------------------------
     def peek(self) -> BusOp | None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from heapq import heappush as _heappush
 from typing import Callable, Protocol
 
-from .buffers import DATA_RETURN, LOCK_INVAL, LOCK_XFER, OP_NAMES, BusOp
+from .buffers import DATA_RETURN, LOCK_INVAL, LOCK_XFER, OP_NAMES, WRITEBACK, BusOp
 from .engine import Engine
 
 __all__ = ["Bus", "BusPort", "BusService"]
@@ -64,11 +64,14 @@ _ALWAYS_ISSUABLE = (1 << DATA_RETURN) | (1 << LOCK_INVAL) | (1 << LOCK_XFER)
 class BusPort(Protocol):
     """Anything the arbiter can draw operations from.
 
-    ``entries`` is the port's underlying queue; the arbiter tests its
+    ``entries`` is the port's underlying deque; the arbiter tests its
     truthiness directly to skip empty ports without a method call (the
-    scan is the hottest loop outside the trace interpreter).  ``peek``
-    is only consulted for non-empty ports and may clean up lazily
-    cancelled entries.
+    scan is the hottest loop outside the trace interpreter).  The
+    reference arbiter draws through ``peek`` and ``pop``.  The fast
+    arbiter reads the head entry itself and calls ``peek`` only when
+    that head is lazily cancelled (``peek`` drops dead head entries);
+    it pops with ``entries.popleft()``, calling ``pop`` only for a
+    ``WRITEBACK``, whose count the port keeps.
 
     ``ready_cb`` is assigned by :meth:`Bus.add_port`; the port MUST call
     it (no arguments) on every enqueue.  It marks the port as possibly
@@ -204,7 +207,6 @@ class Bus:
         # construction (e.g. to log grant order)
         service = self.service
         entries_tab = self._port_entries
-        peek_tab = self._port_peek
         audit = self.audit
         if audit is not None:
             audit.on_arbitrate(time)
@@ -218,12 +220,21 @@ class Bus:
             idx = rr + ((rot & -rot).bit_length() - 1)
             if idx >= n:
                 idx -= n
-            op = peek_tab[idx]() if entries_tab[idx] else None
+            entries = entries_tab[idx]
+            if entries:
+                op = entries[0]
+                if op.cancelled:  # let the port drop its dead head entries
+                    op = self._port_peek[idx]()
+            else:
+                op = None
             if op is None:  # empty, or all entries lazily-cancelled
                 self._ready &= ~(1 << idx)
             elif (_ALWAYS_ISSUABLE >> op.kind) & 1 or service.can_issue(op, time):
-                self._port_pop[idx]()
-                if not entries_tab[idx]:
+                if op.kind == WRITEBACK:
+                    self._port_pop[idx]()  # the port counts its write-backs
+                else:
+                    entries.popleft()
+                if not entries:
                     self._ready &= ~(1 << idx)
                 self._rr = idx + 1 if idx + 1 < n else 0
                 self.busy = True

@@ -110,15 +110,6 @@ class Cache:
         self._dir = directory
         self._proc = proc
 
-    def _dir_add(self, line: int) -> None:
-        d = self._dir
-        if d is not None:
-            holders = d.get(line)
-            if holders is None:
-                d[line] = [self._proc]
-            else:
-                holders.append(self._proc)
-
     def _dir_remove(self, line: int) -> None:
         d = self._dir
         if d is not None:
@@ -220,7 +211,13 @@ class Cache:
             last -= 1
         ways[base] = line
         self.state[line] = state
-        self._dir_add(line)
+        d = self._dir  # register the new holder
+        if d is not None:
+            holders = d.get(line)
+            if holders is None:
+                d[line] = [self._proc]
+            else:
+                holders.append(self._proc)
         if self.audit is not None:
             self.audit.on_install(self._proc, line, state)
         return victim

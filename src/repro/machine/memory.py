@@ -11,6 +11,7 @@ memory's own bus port to win arbitration for the data-return phase.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 
 from .buffers import DATA_RETURN, UPDATE, WRITEBACK, WRITETHROUGH, BusOp
 
@@ -44,6 +45,9 @@ class Memory:
         self._fast = fast_path
         self._servicing: BusOp | None = None
         self._done_cb = self._slot_done
+        # inline engine scheduling (bucket append without the ``at``
+        # call) is only exact against the production Engine's internals
+        self._sched_inline = fast_path and type(engine) is Engine
         # statistics
         self.reads_serviced = 0
         self.writes_serviced = 0
@@ -84,7 +88,20 @@ class Memory:
         self.busy_cycles += self.config.access_cycles
         if self._fast:
             self._servicing = op
-            self.engine.at(time + self.config.access_cycles, self._done_cb)
+            t = time + self.config.access_cycles
+            eng = self.engine
+            if self._sched_inline and type(t) is int and t >= eng.now:
+                # inlined Engine.at (the guard re-proves its checks)
+                buckets = eng._buckets
+                b = buckets.get(t)
+                if b is None:
+                    buckets[t] = [self._done_cb]
+                    _heappush(eng._times, t)
+                else:
+                    b.append(self._done_cb)
+                eng._pending += 1
+            else:
+                eng.at(t, self._done_cb)
         else:
             self.engine.at(
                 time + self.config.access_cycles, lambda t, op=op: self._done(op, t)

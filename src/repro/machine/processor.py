@@ -770,6 +770,8 @@ class Processor:
         """If our own write-back of ``line`` is still buffered, pull it
         back into the cache (one-cycle buffer hit)."""
         buf = self.system.buffers[self.proc]
+        if not buf.wb_count:  # no live write-back buffered: nothing to find
+            return False
         wb = buf.find(WRITEBACK, line)
         if wb is None:
             return False
@@ -782,12 +784,12 @@ class Processor:
         return True
 
     def _block_on_read_miss(self, line: int, ifetch: bool) -> None:
-        op = BusOp(READ_MISS, line, self.proc, ifetch=ifetch)
+        op = BusOp(READ_MISS, line, self.proc, None, ifetch)
         self.state = _WAIT_MISS
         self._stall_start = self.time
         self._wait_op = op
         self.outstanding += 1
-        self.system.issue_from_proc(op, self.time, front=self.model.bypass_reads)
+        self.system.issue_from_proc(op, self.time, self.model.bypass_reads)
 
     def _block_on_op(self, op: BusOp) -> None:
         """Stall until an already-issued operation (e.g. our own buffered
@@ -873,13 +875,15 @@ class Processor:
 
     # -- completion notifications (called by the System) ----------------------------------
     def _op_complete(self, op: BusOp, t: int) -> None:
-        if op.kind == WRITEBACK:
+        kind = op.kind
+        if kind == WRITEBACK:
             self.outstanding_wb -= 1
             return  # write-backs never unblock the processor
         self.outstanding -= 1
-        if op.kind == RFO and self.pending_writes.get(op.line) is op:
-            del self.pending_writes[op.line]
-        elif op.kind == UPGRADE:
+        if kind == RFO:
+            if self.pending_writes.get(op.line) is op:
+                del self.pending_writes[op.line]
+        elif kind == UPGRADE:
             self.pending_upgrades.discard(op.line)
 
         if self.state == _WAIT_MISS and self._wait_op is op:
@@ -889,9 +893,10 @@ class Processor:
             if t > self._stall_start:
                 self.metrics.stall_miss += t - self._stall_start
             self._wait_op = None
-            self.time = max(self.time, t)
-            self.state = _RUNNING
             t2 = self.time
+            if t > t2:
+                t2 = self.time = t
+            self.state = _RUNNING
             eng = self._engine
             if self._sched_inline and type(t2) is int:
                 # inlined Engine.at: t2 = max(local, t) >= t = now

@@ -176,7 +176,6 @@ class System:
         self._cb_fill = self._complete_fill
         self._cb_op = self._complete_op
         self._cb_write = self._complete_write
-        self._cb_split = self._complete_split
         if config.bus_fast_path:
             table = [None] * len(self._exec_table)
             for kind, handler in {
@@ -370,11 +369,31 @@ class System:
     def can_issue(self, op: BusOp, time: int) -> bool:
         k = op.kind
         if k == READ_MISS or k == RFO:
-            holder = self._fills_in_flight.get(op.line)
-            if holder is not None and holder != op.proc:
+            line = op.line
+            p = op.proc
+            holder = self._fills_in_flight.get(line)
+            if holder is not None and holder != p:
                 return False  # wait for the in-flight fill of this line
-            op.supplier = self._find_supplier(op.line, op.proc)
-            return op.supplier is not None or self.memory.can_accept()
+            ws = self._wb_total
+            if ws is None or ws[0]:
+                supplier = self._find_supplier(line, p)
+            else:
+                # no write-back buffered anywhere: _find_supplier's
+                # directory search is the whole answer
+                supplier = None
+                holders = self.directory.get(line)
+                if holders:
+                    best = -1
+                    for q in holders:
+                        if q != p and (best < 0 or q < best):
+                            best = q
+                    if best >= 0:
+                        supplier = ("cache", best, None)
+            op.supplier = supplier
+            if supplier is not None:
+                return True
+            mem = self.memory  # inlined Memory.can_accept
+            return len(mem._in) + mem._reserved < mem.config.input_buffer
         if k == UPGRADE:
             if op.line in self.caches[op.proc].state:
                 return True
@@ -633,11 +652,15 @@ class System:
 
     def _complete_fill(self, t: int) -> None:
         op = self._done_op
+        line = op.line
+        p = op.proc
         fills = self._fills_in_flight
-        if fills.get(op.line) == op.proc:
-            del fills[op.line]
-        proc = self.procs[op.proc]
-        proc.install_fill(op, t)
+        if fills.get(line) == p:
+            del fills[line]
+        proc = self.procs[p]
+        victim = self.caches[p].install(line, op.fill_state)  # proc.install_fill
+        if victim is not None:
+            proc._handle_eviction(victim)
         if op.on_done is not None:
             op.on_done(t)
         else:
@@ -657,14 +680,6 @@ class System:
             op.on_done(t)
         else:
             self.procs[op.proc]._op_complete(op, t)
-
-    def _complete_split(self, t: int) -> None:
-        orig = self._done_op
-        k = orig.kind
-        if k == READ_MISS or k == RFO or (k == UPGRADE and orig.converted):
-            self._complete_fill(t)
-        else:
-            orig.on_done(t)
 
     # -- fused executors ------------------------------------------------------
     def _fexec_read_miss(self, op: BusOp, time: int):
@@ -785,11 +800,18 @@ class System:
         return (self._addr_cycles, self._cb_arrive)
 
     def _fexec_data_return(self, op: BusOp, time: int):
+        # _split_complete's choice, made at grant time: a fill installs
+        # its line; a lock operation's own callback is its completion
         orig = op.orig
-        hold = max(1, orig.return_cycles)
+        hold = orig.return_cycles
+        if hold < 1:
+            hold = 1
         self.memory.release_output(time)
-        self._done_op = orig
-        return (hold, self._cb_split)
+        k = orig.kind
+        if k == READ_MISS or k == RFO or (k == UPGRADE and orig.converted):
+            self._done_op = orig
+            return (hold, self._cb_fill)
+        return (hold, orig.on_done)
 
     # ------------------------------------------------------------------
     # Run + results

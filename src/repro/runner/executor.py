@@ -3,9 +3,10 @@ processes with caching, per-job timeout, bounded retry, and structured
 failure capture.
 
 This module owns the *worker side* (:func:`_execute`, the in-worker
-timeout timer, the trace memo) and the batch datatypes; the coordinator
-is the sweep-service scheduler -- :func:`run_jobs` is a thin synchronous
-client of :func:`repro.service.scheduler.run_batch`, which adds
+timeout timer, the trace memo, the sync-free simulation memo) and the
+batch datatypes; the coordinator is the sweep-service scheduler --
+:func:`run_jobs` is a thin synchronous client of
+:func:`repro.service.scheduler.run_batch`, which adds
 in-flight deduplication, exponential backoff, and per-job deadline
 budgets on top of the semantics documented here.
 
@@ -29,6 +30,7 @@ Design points:
 
 from __future__ import annotations
 
+import json
 import signal
 import threading
 import time
@@ -36,10 +38,14 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..machine.buffers import LOCK_MEM, LOCK_XFER
 from ..machine.metrics import RunResult
+from ..sync import get_lock_manager
+from ..sync.stats import LockStatsCollector
+from ..trace.validate import sync_free
 from .cache import ResultCache
 from .serialize import result_to_dict
-from .spec import JobSpec
+from .spec import JobSpec, traceset_digest
 
 __all__ = ["JobFailure", "BatchStats", "BatchResult", "run_jobs"]
 
@@ -175,6 +181,47 @@ def _memoized_traceset(spec: JobSpec, trace_cache=None):
     return ts
 
 
+#: per-process memo of sync-free simulations: (trace digest, machine,
+#: consistency model, max_events) -> the result's JSON (see _simulate)
+_SYNC_FREE_MEMO: dict[tuple, str] = {}
+_SYNC_FREE_MEMO_MAX = 8
+
+_NO_LOCK_STATS = LockStatsCollector().snapshot()
+
+
+def _simulate(spec: JobSpec, ts) -> dict:
+    """``result_to_dict(spec.run(traceset=ts))``, with a sync-free
+    traceset simulated once per (trace digest, machine, model,
+    ``max_events``) in this process.
+
+    A traceset with no sync record never reaches the lock manager
+    (:func:`repro.trace.sync_free`), so the other lock schemes get a
+    fresh copy of that one run relabeled with their own scheme name.
+    The requested manager is still built, so a bad scheme or bad
+    ``lock_kwargs`` fails exactly as ``spec.run`` would.  A run that
+    granted a lock-kind bus op or counted a lock statistic anyway is
+    not memoized.
+    """
+    if ts is None or not sync_free(ts):
+        return result_to_dict(spec.run(traceset=ts))
+    name = get_lock_manager(spec.lock_scheme, **dict(spec.lock_kwargs)).name
+    key = (traceset_digest(ts), spec.machine, spec.consistency, spec.max_events)
+    text = _SYNC_FREE_MEMO.get(key)
+    if text is not None:
+        payload = json.loads(text)
+        payload["lock_scheme"] = name
+        return payload
+    result = spec.run(traceset=ts)
+    payload = result_to_dict(result)
+    if result.lock_stats == _NO_LOCK_STATS and not any(
+        LOCK_MEM <= kind <= LOCK_XFER for kind in result.bus_op_counts
+    ):
+        if len(_SYNC_FREE_MEMO) >= _SYNC_FREE_MEMO_MAX:
+            _SYNC_FREE_MEMO.clear()
+        _SYNC_FREE_MEMO[key] = json.dumps(payload)
+    return payload
+
+
 def _execute(spec: JobSpec, timeout: float | None, trace_cache=None) -> dict:
     """Run one job; always returns a JSON-ready payload, never raises.
 
@@ -186,9 +233,9 @@ def _execute(spec: JobSpec, timeout: float | None, trace_cache=None) -> dict:
     start = time.perf_counter()
     disarm = _arm_timer(timeout)
     try:
-        result = spec.run(traceset=_memoized_traceset(spec, trace_cache))
+        result = _simulate(spec, _memoized_traceset(spec, trace_cache))
         disarm()  # idempotent; a late re-fire must not escape _execute
-        payload = {"ok": True, "result": result_to_dict(result)}
+        payload = {"ok": True, "result": result}
     except _JobTimeout:
         disarm()
         payload = {

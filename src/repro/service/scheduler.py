@@ -150,9 +150,12 @@ class CellOutcome:
 
     def manifest_record(self) -> dict:
         """The executor-manifest-schema record for this outcome."""
-        status = {"hit": "cached", "attached": "cached", "remote": "cached"}.get(
-            self.status, self.status
-        )
+        if not self.ok:
+            status = "failed"  # also an attached cell whose owner failed
+        elif self.status in ("hit", "attached", "remote"):
+            status = "cached"
+        else:
+            status = self.status
         rec = {
             "key": self.key,
             "label": self.spec.label(),
@@ -163,7 +166,7 @@ class CellOutcome:
         }
         if self.status == "ok" and self.result_dict is not None:
             rec["result"] = self.result_dict
-        elif self.status == "failed":
+        elif status == "failed":
             f = self.outcome
             rec["error"] = {
                 "kind": f.kind,
@@ -845,22 +848,11 @@ def run_batch(
 
     def settle(idx: int, out: CellOutcome) -> None:
         outcomes[idx] = out.outcome
-        if out.status in ("hit", "attached", "remote"):
-            stats.cached += 1
-            record(idx, "cached", attempts=0, elapsed_s=0.0)
-        elif out.status == "ok":
-            stats.executed += 1
-            stats.retries += out.attempts - 1
-            record(
-                idx,
-                "ok",
-                attempts=out.attempts,
-                elapsed_s=out.elapsed_s,
-                result=out.result_dict,
-            )
-        else:
+        # out.ok first: an attached cell whose owner failed carries the
+        # owner's JobFailure (and 0 attempts of its own)
+        if not out.ok:
             stats.failed += 1
-            stats.retries += out.attempts - 1
+            stats.retries += max(out.attempts - 1, 0)
             failure = out.outcome
             record(
                 idx,
@@ -873,6 +865,19 @@ def run_batch(
                     "traceback": failure.traceback,
                 },
             )
+        elif out.status == "ok":
+            stats.executed += 1
+            stats.retries += out.attempts - 1
+            record(
+                idx,
+                "ok",
+                attempts=out.attempts,
+                elapsed_s=out.elapsed_s,
+                result=out.result_dict,
+            )
+        else:
+            stats.cached += 1
+            record(idx, "cached", attempts=0, elapsed_s=0.0)
 
     async def drive() -> None:
         if scheduler.inline and not scheduler.transports:

@@ -42,6 +42,7 @@ from .stats import TraceStats, compute_trace_stats
 from .validate import (
     TraceValidationError,
     critical_sections,
+    sync_free,
     validate_trace,
     validate_traceset,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "lock_event_log",
     "resolve_trace_cache",
     "summarize_traceset",
+    "sync_free",
     "load_traceset",
     "loads_traceset",
     "save_traceset",

@@ -10,6 +10,11 @@ paired.  The validator, the ideal statistics of :mod:`repro.trace.stats`
 and the lock profiles and contention report of :mod:`repro.sync.predict`
 all read its rows, so every lock consumer shares one definition of a
 critical section and one set of pairing errors.
+
+A *sync record* is a LOCK, UNLOCK or BARRIER record: the only records
+that hand a processor to a lock or barrier manager.  :func:`sync_free`
+certifies a traceset that holds none, from the same definition
+:func:`critical_sections` walks.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "CS_DTYPE",
     "TraceValidationError",
     "critical_sections",
+    "sync_free",
     "validate_trace",
     "validate_traceset",
 ]
@@ -46,6 +52,27 @@ class TraceValidationError(ValueError):
     """A trace violates a structural invariant."""
 
 
+def _is_sync(kinds: np.ndarray) -> np.ndarray:
+    """Mask of the sync records (LOCK, UNLOCK, BARRIER) in ``kinds``."""
+    return (kinds == LOCK) | (kinds == UNLOCK) | (kinds == BARRIER)
+
+
+def sync_free(ts: TraceSet) -> bool:
+    """True when no processor's trace in ``ts`` holds a sync record.
+
+    A simulation reaches a lock manager only through a sync record
+    (``Processor._begin_sync``) and the lock-kind bus operations the
+    manager then issues, so a sync-free traceset simulates the same
+    under every lock scheme.  Computed once per traceset and cached on
+    it, like the runner's content digest.
+    """
+    cached = getattr(ts, "_sync_free", None)
+    if cached is None:
+        cached = not any(_is_sync(t.records["kind"]).any() for t in ts)
+        ts._sync_free = cached
+    return cached
+
+
 def critical_sections(trace: Trace) -> np.ndarray:
     """Pair ``trace``'s LOCK and UNLOCK records into critical sections.
 
@@ -63,7 +90,7 @@ def critical_sections(trace: Trace) -> np.ndarray:
     """
     rec = trace.records
     kinds = rec["kind"]
-    idx = np.flatnonzero((kinds == LOCK) | (kinds == UNLOCK) | (kinds == BARRIER))
+    idx = np.flatnonzero(_is_sync(kinds))
     rows: list[list[int]] = []  # [lock, acquire, release, depth], acquire order
     held: dict[int, list[int]] = {}  # lock id -> its open row
     args = rec["arg"][idx].tolist()

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from repro.machine.buffers import BusOp, READ_MISS
+from repro.machine.buffers import READ_MISS, WRITEBACK, BusOp, CacheBusBuffer
 from repro.machine.bus import Bus
 from repro.machine.engine import Engine
 
@@ -140,6 +140,56 @@ class TestArbitration:
         assert len(service.executed) == 1
         engine.run()
         assert len(service.executed) == 2
+
+
+class TestCancelledHead:
+    """A write-back cancelled while buffered stays in its port's queue
+    until an arbiter reaches it; both arbiters must skip it."""
+
+    @staticmethod
+    def _buffer_port(fast_path):
+        engine = Engine()
+        service = ScriptService()
+        bus = Bus(engine, service, fast_path=fast_path)
+        wb_total = [0]
+        buf = CacheBusBuffer(0, depth=4, wb_shared=wb_total)
+        idx = bus.add_port(buf)
+        return engine, service, bus, buf, idx, wb_total
+
+    @staticmethod
+    def _ready(bus, idx):
+        if bus.fast_path:
+            return bool(bus._ready >> idx & 1)
+        return idx in bus._waiting
+
+    @pytest.mark.parametrize("kind", [READ_MISS, WRITEBACK], ids=["read", "wb"])
+    def test_cancelled_head_is_skipped(self, fast_path, kind):
+        engine, service, bus, buf, idx, wb_total = self._buffer_port(fast_path)
+        dead = BusOp(WRITEBACK, 1, 0)
+        live = BusOp(kind, 2, 0)
+        buf.push(dead)
+        buf.push(live)
+        buf.cancel(dead)
+        bus.kick(0)
+        assert service.executed == [(live, 0)]
+        assert not buf.entries
+        # the port's write-back counts drop with the granted entry too
+        assert buf.wb_count == 0 and wb_total == [0]
+        assert not self._ready(bus, idx)
+
+    def test_port_of_cancelled_entries_leaves_the_ready_set(self, fast_path):
+        engine, service, bus, buf, idx, wb_total = self._buffer_port(fast_path)
+        dead = [BusOp(WRITEBACK, line, 0) for line in (1, 2)]
+        for o in dead:
+            buf.push(o)
+        for o in dead:
+            buf.cancel(o)
+        assert self._ready(bus, idx)
+        bus.kick(0)
+        assert service.executed == []
+        assert not bus.busy
+        assert not buf.entries
+        assert not self._ready(bus, idx)
 
 
 class TestStats:

@@ -57,6 +57,18 @@ class TestFailureCapture:
         assert statuses["does-not-exist/queuing/sc"] == "failed"
         assert statuses["fullconn/queuing/sc"] == "ok"
 
+    def test_attached_cells_of_a_failed_owner_count_as_failed(self, tmp_path):
+        bad = JobSpec(program="grav", scale=0.05, lock_kwargs={"bogus": 1})
+        manifest = tmp_path / "batch.jsonl"
+        batch = run_jobs([bad] * 3, jobs=2, manifest_path=manifest)
+        assert all(isinstance(o, JobFailure) for o in batch.outcomes)
+        stats = batch.stats
+        assert (stats.executed, stats.cached, stats.failed) == (0, 0, 3)
+        assert stats.retries == 0
+        records = load_records(manifest)
+        assert [r["status"] for r in records] == ["failed"] * 3
+        assert all("bogus" in r["error"]["message"] for r in records)
+
     def test_failure_serial_path_too(self):
         batch = run_jobs([FAULTY, GOOD])
         assert isinstance(batch.outcomes[0], JobFailure)

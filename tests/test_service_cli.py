@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _trace_cache_arg, build_parser, main
 from repro.runner import JobSpec, ResultCache
 from repro.service import Scheduler, ServiceServer
 
@@ -52,6 +52,22 @@ class TestParser:
     def test_status_flags(self):
         args = build_parser().parse_args(["status", "--metrics"])
         assert args.metrics is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve"], ["serve", "--worker"], ["suite"], ["batch"]],
+        ids=["serve", "worker", "suite", "batch"],
+    )
+    def test_cache_dir_moves_the_trace_cache(self, tmp_path, argv):
+        # the same location `repro cache --cache-dir DIR` reads
+        root = tmp_path / "X"
+        args = build_parser().parse_args(argv + ["--cache-dir", str(root)])
+        assert _trace_cache_arg(args).root == root / "traces"
+        pinned = tmp_path / "Y"
+        args = build_parser().parse_args(
+            argv + ["--cache-dir", str(root), "--trace-cache-dir", str(pinned)]
+        )
+        assert _trace_cache_arg(args).root == pinned
 
 
 class TestStatsJson:

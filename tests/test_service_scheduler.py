@@ -154,6 +154,15 @@ class TestCellOutcome:
         assert rec["status"] == "failed"
         assert rec["error"]["kind"] == "error"
 
+    def test_attached_failure_records_failed(self):
+        bad = JobSpec(program="grav", scale=0.05, lock_kwargs={"bogus": 1})
+        owner, attached = _submit_many(Scheduler(jobs=2), [bad, bad])
+        assert (owner.status, attached.status) == ("failed", "attached")
+        assert not attached.ok
+        rec = attached.manifest_record()
+        assert rec["status"] == "failed"
+        assert "bogus" in rec["error"]["message"]
+
     def test_status_snapshot(self, tmp_path):
         sched = Scheduler(cache=ResultCache(tmp_path / "c"), retries=1)
         _submit_many(sched, [GOOD])
