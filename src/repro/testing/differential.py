@@ -19,13 +19,14 @@ test, which has the same problem: "two result dicts differ -- where?").
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
 from ..consistency import get_model
 from ..machine.config import MachineConfig
 from ..machine.system import System
-from ..runner.serialize import result_to_dict
+from ..runner.serialize import result_to_dict, result_to_json
 from ..sync import get_lock_manager
 from ..trace.records import TraceSet
 
@@ -127,6 +128,9 @@ class CellReport:
     #: only; see repro.audit) and the number of checks it evaluated
     violations: int = 0
     audit_checks: int = 0
+    #: sha256 of the fast run's canonical result JSON (``result_to_json``),
+    #: the digest the reference-digest tables pin
+    digest: str = ""
 
     @property
     def label(self) -> str:
@@ -212,6 +216,7 @@ def run_cell(
     total_refs = 0
     violations = 0
     audit_checks = 0
+    digest = ""
     for fast in (True, False):
         system = System(
             traceset,
@@ -225,8 +230,10 @@ def run_cell(
 
             SystemAuditor.attach(system, mode="collect")
         result = system.run()
-        canon[fast] = _canonical(result)
+        body = result_to_json(result)
+        canon[fast] = json.loads(body)
         if fast:
+            digest = hashlib.sha256(body.encode()).hexdigest()
             if system.audit is not None:
                 rep = system.audit.report
                 violations = len(rep.violations)
@@ -259,6 +266,7 @@ def run_cell(
         spin_segments=spin_segments,
         violations=violations,
         audit_checks=audit_checks,
+        digest=digest,
     )
 
 

@@ -27,6 +27,8 @@ from repro.testing import (
     run_cell,
 )
 
+from .test_reference_digests import reference_digests
+
 _TS = {}
 
 
@@ -54,6 +56,10 @@ def test_fast_path_byte_identical_at_default_scale(program):
     # anti-vacuity: at default scale the fast path must actually engage
     for r in reports:
         assert r.fp_windows > 0, f"{r.label}: fast path never retired a window"
+    # the production run against the reference interpreter's pinned digests
+    want = reference_digests(1991, 1.0)
+    bad = [r.label for r in reports if r.digest != want[r.label]]
+    assert not bad, f"digest differs from the reference table: {bad}"
 
 
 #: the three record-retirement axes alone and in combination, swept on
