@@ -4,7 +4,7 @@ The differential harness and the golden fixtures check *outputs*; this
 package checks *in-flight protocol state*.  A :class:`SystemAuditor`
 attached to a :class:`~repro.machine.system.System` observes every bus
 arbitration and grant, every cache install, and every lock acquire /
-grant / release, and verifies five invariant families while the
+grant / release, and verifies four invariant families while the
 simulation runs:
 
 * :mod:`~repro.audit.coherence` -- MESI legality (one M/E owner, no M
@@ -15,10 +15,7 @@ simulation runs:
 * :mod:`~repro.audit.locks` -- mutual exclusion, queuing-lock FIFO
   order, LockStats accounting;
 * :mod:`~repro.audit.accounting` -- cycle/reference conservation and
-  RunResult aggregate consistency;
-* :mod:`~repro.audit.kernel` -- segment-kernel collapse legality
-  (machine genuinely quiet, spans on bounce boundaries and replay-silent,
-  segments disjoint).
+  RunResult aggregate consistency.
 
 Auditing is observation-only: results are byte-identical with it on or
 off.  Enable it per run with ``MachineConfig(audit=True)`` (CLI
@@ -42,9 +39,7 @@ from .report import (
     BUS,
     CATEGORIES,
     COHERENCE,
-    KERNEL,
     LOCK,
-    SPIN,
     AuditError,
     AuditReport,
     Violation,
@@ -60,8 +55,6 @@ __all__ = [
     "BUS",
     "LOCK",
     "ACCOUNTING",
-    "KERNEL",
-    "SPIN",
     "set_default",
     "default_mode",
     "maybe_attach",

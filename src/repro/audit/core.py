@@ -21,10 +21,8 @@ from __future__ import annotations
 from .accounting import AccountingAuditor
 from .busproto import BusAuditor
 from .coherence import CoherenceAuditor
-from .kernel import KernelAuditor
 from .locks import LockAuditor
 from .report import AuditError, AuditReport, Violation
-from .spinphase import SpinAuditor
 
 __all__ = ["SystemAuditor"]
 
@@ -42,8 +40,6 @@ class SystemAuditor:
         self.busproto = BusAuditor(self)
         self.locks = LockAuditor(self)
         self.accounting = AccountingAuditor(self)
-        self.kernel_checks = KernelAuditor(self)
-        self.spin_checks = SpinAuditor(self)
         self.finalized = False
 
     @classmethod
@@ -107,14 +103,6 @@ class SystemAuditor:
     # -- deadlock (System.run, before its RuntimeError) ------------------
     def on_deadlock(self, stuck) -> None:
         self.locks.on_deadlock(stuck)
-
-    # -- segment-kernel hook (SegmentKernel.attempt, pre-mutation) -------
-    def on_kernel_collapse(self, system, plan, now: int) -> None:
-        self.kernel_checks.on_collapse(system, plan, now)
-
-    # -- spin-phase hook (SpinKernel._audit_collapse, pre-mutation) ------
-    def on_spin_collapse(self, system, plan, waiters, horizon, now: int) -> None:
-        self.spin_checks.on_collapse(system, plan, waiters, horizon, now)
 
     # -- end of run ------------------------------------------------------
     def finalize(self, result) -> AuditReport:

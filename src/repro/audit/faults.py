@@ -29,14 +29,12 @@ from typing import Callable
 
 from ..machine.buffers import DATA_RETURN, BusOp
 from ..machine.memory import _WRITE_KINDS
-from .report import ACCOUNTING, BUS, COHERENCE, KERNEL, LOCK, SPIN
+from .report import ACCOUNTING, BUS, COHERENCE, LOCK
 
 __all__ = [
     "FaultSpec",
     "FAULTS",
-    "KERNEL_FAULTS",
     "LOCK_FAULTS",
-    "SPIN_FAULTS",
     "inject",
 ]
 
@@ -102,6 +100,9 @@ def _double_grant(system) -> None:
         _real(time)
 
     bus.kick = eager
+    # the memory module captured the original bound method at System
+    # construction; re-point it so its kicks reach the wrapper too
+    system.memory._bus_kick = eager
 
 
 def _phantom_data_return(system) -> None:
@@ -380,198 +381,13 @@ LOCK_FAULTS: dict[str, FaultSpec] = {
 }
 
 
-# -- segment-kernel faults -----------------------------------------------
-#
-# A separate registry: these corrupt the columnar segment kernel
-# (repro.machine.kernel), so they only arm on a System built with
-# ``segment_kernel=True`` on the production Engine, and they only
-# *trigger* on workloads with machine-quiet phases -- unlike FAULTS,
-# which trigger on any contended run.  tests/test_kernel_faults.py
-# drives them on purpose-built tracesets.
-
-
-def _kernel(system):
-    kern = system.kernel
-    if kern is None:
-        raise RuntimeError(
-            "kernel faults need a System with a collapse kernel "
-            "(segment_kernel or spin_kernel) on the production Engine"
-        )
-    return kern
-
-
-def _kernel_overrun(system) -> None:
-    """The analyzer claims one record too many is silently valid: the
-    collapsed span swallows the first *invalid* record (a cold line or
-    an ineligible sync record)."""
-    kern = _kernel(system)
-    kern.min_span = 1  # let short crafted runs attempt at all
-    real = kern._analyze
-
-    def over(q, tab, i0, j_s, _real=real):
-        j = _real(q, tab, i0, j_s)
-        # persistent (not one-shot): an overrun only matters once it
-        # lands inside a *collapsed* span, which the analyzer cannot
-        # know; raise-mode auditing aborts at the first one that does
-        return j + 1 if j < q._n else j
-
-    kern._analyze = over
-
-
-def _kernel_phantom_quiet(system) -> None:
-    """The quiet scan always says yes: segments can span live bus
-    transactions, memory operations and blocked processors.  Always-on
-    (every pre-mutation collapse is either genuinely legal or flagged by
-    the auditor before any state changes)."""
-    kern = _kernel(system)
-    kern.min_span = 1
-    kern.backoff = 0  # keep attempting: the scan no longer gates anything
-    kern._quiet = lambda: True
-
-
-def _kernel_stale_drain(system) -> None:
-    """Per-processor quiet ignores in-flight obligations (``outstanding``
-    accesses, write-backs, sync drains): a weakly-ordered processor with
-    an issued-but-not-yet-buffered write looks collapsible."""
-    kern = _kernel(system)
-    kern.min_span = 1
-    kern.backoff = 0
-    from ..machine.processor import _DONE, _RUNNING
-
-    kern._proc_quiet = lambda q: q.state in (_RUNNING, _DONE)
-
-
-KERNEL_FAULTS: dict[str, FaultSpec] = {
-    spec.name: spec
-    for spec in (
-        FaultSpec(
-            "kernel-overrun",
-            KERNEL,
-            frozenset({"segment-boundary"}),
-            "the span analyzer overruns the first invalid record by one",
-            _kernel_overrun,
-        ),
-        FaultSpec(
-            "kernel-phantom-quiet",
-            KERNEL,
-            frozenset({"segment-quiet"}),
-            "the machine-quiet scan always passes; segments span bus traffic",
-            _kernel_phantom_quiet,
-        ),
-        FaultSpec(
-            "kernel-stale-drain",
-            KERNEL,
-            frozenset({"segment-quiet"}),
-            "per-processor quiet ignores outstanding accesses and drains",
-            _kernel_stale_drain,
-        ),
-    )
-}
-
-
-# -- spin-phase faults -----------------------------------------------------
-#
-# A separate registry: these corrupt the spin-phase collapse kernel's
-# *certification* apparatus (repro.machine.spinphase), so they only arm
-# on a System built with ``spin_kernel=True`` on the production Engine,
-# and they only trigger on workloads with contended lock-wait phases.
-# Unlike most protocol faults they need not diverge the simulation --
-# the horizon is a conservative legality bound, and a corrupted proof
-# can still cover a collapse that happens to commute -- which is exactly
-# why the auditor re-derives every claim independently.
-# tests/test_spin_faults.py drives them on contended hot-loop tracesets
-# under the scheme each one targets.
-
-
-def _spin(system):
-    kern = system.kernel
-    if kern is None or not hasattr(kern, "_begin_phase"):
-        raise RuntimeError(
-            "spin faults need a System with spin_kernel=True on the "
-            "production Engine"
-        )
-    return kern
-
-
-def _spin_idle_lie(system) -> None:
-    """The lock port claims every waiter is idle: pending backoff/retry
-    timers are hidden from the kernel, so the collapse horizon is never
-    bounded.  The auditor re-derives the signature from the manager's
-    raw timer table and must flag the lie at the first waiter-bearing
-    collapse."""
-    kern = _spin(system)
-    kern.min_span = 1  # let short crafted runs attempt at all
-    from ..sync.base import SPIN_IDLE
-
-    system.locks.spin_wakeup = lambda proc: SPIN_IDLE
-
-
-def _spin_horizon_overrun(system) -> None:
-    """The kernel ignores the certified timer horizon (collapses start
-    unbounded, like a pure quiet segment): bounces past a waiter's
-    wakeup are fast-forwarded.  The waiter list itself stays honest, so
-    only the release-boundary check can catch this."""
-    kern = _spin(system)
-    kern.min_span = 1
-    from ..machine.kernel import _INF
-
-    kern._horizon0 = lambda: _INF
-
-
-def _spin_stale_waiters(system) -> None:
-    """The per-phase waiter list is never reset: certified waiters
-    accumulate across scans, so from the second waiter-bearing collapse
-    on, the list names processors twice (and, eventually, processors
-    that are no longer lock-blocked)."""
-    kern = _spin(system)
-    kern.min_span = 1
-    kern._begin_phase = lambda: None
-
-
-SPIN_FAULTS: dict[str, FaultSpec] = {
-    spec.name: spec
-    for spec in (
-        FaultSpec(
-            "spin-idle-lie",
-            SPIN,
-            frozenset({"spin-phase-periodicity"}),
-            "the lock port certifies every waiter idle, hiding pending timers",
-            _spin_idle_lie,
-            scheme="backoff",
-        ),
-        FaultSpec(
-            "spin-horizon-overrun",
-            SPIN,
-            frozenset({"spin-release-boundary"}),
-            "the kernel collapses past the earliest certified waiter timer",
-            _spin_horizon_overrun,
-            scheme="backoff",
-        ),
-        FaultSpec(
-            "spin-stale-waiters",
-            SPIN,
-            frozenset({"spin-waiter-disjointness"}),
-            "the certified-waiter list accumulates across phases",
-            _spin_stale_waiters,
-            scheme="ticket",
-        ),
-    )
-}
-
-
 def inject(system, name: str) -> FaultSpec:
-    """Apply a registered fault (protocol, kernel or spin-phase) to a
-    built (not yet run) system."""
-    spec = (
-        FAULTS.get(name)
-        or LOCK_FAULTS.get(name)
-        or KERNEL_FAULTS.get(name)
-        or SPIN_FAULTS.get(name)
-    )
+    """Apply a registered fault (protocol or lock-scheme) to a built
+    (not yet run) system."""
+    spec = FAULTS.get(name) or LOCK_FAULTS.get(name)
     if spec is None:
         raise KeyError(
-            f"unknown fault {name!r}; known: "
-            f"{sorted(FAULTS) + sorted(LOCK_FAULTS) + sorted(KERNEL_FAULTS) + sorted(SPIN_FAULTS)}"
+            f"unknown fault {name!r}; known: {sorted(FAULTS) + sorted(LOCK_FAULTS)}"
         )
     spec.apply(system)
     return spec

@@ -21,22 +21,16 @@ __all__ = [
     "BUS",
     "LOCK",
     "ACCOUNTING",
-    "KERNEL",
-    "SPIN",
     "CATEGORIES",
 ]
 
 #: invariant families (§3 of the paper: MESI snooping, split-transaction
-#: bus arbitration, lock semantics, stall-cycle accounting) plus the
-#: segment-kernel legality checks (repro.machine.kernel collapses) and
-#: the spin-phase certification checks (repro.machine.spinphase)
+#: bus arbitration, lock semantics, stall-cycle accounting)
 COHERENCE = "coherence"
 BUS = "bus"
 LOCK = "lock"
 ACCOUNTING = "accounting"
-KERNEL = "kernel"
-SPIN = "spin"
-CATEGORIES = (COHERENCE, BUS, LOCK, ACCOUNTING, KERNEL, SPIN)
+CATEGORIES = (COHERENCE, BUS, LOCK, ACCOUNTING)
 
 
 @dataclass(frozen=True)

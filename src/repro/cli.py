@@ -42,15 +42,6 @@ def _add_config_options(sp: argparse.ArgumentParser) -> None:
         help="consistency model (default: sc)",
     )
     sp.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help=(
-            "interpret traces record by record instead of through the "
-            "private-window fast path (identical results, slower; see "
-            "'diff-verify')"
-        ),
-    )
-    sp.add_argument(
         "--no-bus-fast-path",
         action="store_true",
         help=(
@@ -61,29 +52,11 @@ def _add_config_options(sp: argparse.ArgumentParser) -> None:
         ),
     )
     sp.add_argument(
-        "--no-segment-kernel",
-        action="store_true",
-        help=(
-            "retire machine-quiet trace segments bounce by bounce instead "
-            "of through the columnar segment kernel (identical results, "
-            "slower; see 'diff-verify' and docs/performance.md)"
-        ),
-    )
-    sp.add_argument(
-        "--no-spin-kernel",
-        action="store_true",
-        help=(
-            "replay lock-wait phases event by event instead of collapsing "
-            "them through the spin-phase kernel (identical results, "
-            "slower; see 'diff-verify' and docs/performance.md)"
-        ),
-    )
-    sp.add_argument(
         "--audit",
         action="store_true",
         help=(
             "attach the runtime invariant auditor (simulator sanitizer): "
-            "abort at the first coherence/bus/lock/accounting/kernel/spin "
+            "abort at the first coherence/bus/lock/accounting "
             "violation (identical results, ~2x slower; see docs/audit.md)"
         ),
     )
@@ -465,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     dv = sub.add_parser(
         "diff-verify",
         help=(
-            "differentially verify the interpreter fast path: run every "
-            "workload/lock/model cell with fast_path on and off and "
+            "differentially verify the bus fast path: run every "
+            "workload/lock/model cell with bus_fast_path on and off and "
             "require byte-identical results"
         ),
     )
@@ -495,24 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "also run the invariant auditor over the fast run of each "
             "cell and require zero violations"
-        ),
-    )
-    dv.add_argument(
-        "--vary",
-        default="all",
-        choices=[
-            "all",
-            "fast-path",
-            "bus-fast-path",
-            "segment-kernel",
-            "spin-kernel",
-        ],
-        help=(
-            "which fast path(s) to toggle between the two runs of each "
-            "cell: 'all' (default) flips the interpreter fast path, the "
-            "bus fast path, the segment kernel and the spin kernel "
-            "together; the others isolate one knob with the rest left "
-            "at their defaults (on)"
         ),
     )
     _add_trace_cache_options(dv)
@@ -581,8 +536,6 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(core.render_per_proc(result))
         if stats_text is not None:
-            print()
-            print(_render_diagnostics(result))
             print()
             print(stats_text, end="")
     elif args.cmd == "suite":
@@ -790,18 +743,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _render_diagnostics(result) -> str:
-    """The fast-path/kernel counters (``RunResult.diagnostics``) as a
-    compact table; never serialized, printed by ``repro run --profile``."""
-    d = result.diagnostics
-    if not d:
-        return "diagnostics: (none collected)"
-    width = max(len(k) for k in d)
-    lines = ["diagnostics (attempt/rejection counters, compare-excluded):"]
-    lines += [f"  {k:<{width}} {v:>12,}" for k, v in d.items()]
-    return "\n".join(lines)
-
-
 def _profiled(fn, top: int = 15):
     """Run ``fn()`` under :mod:`cProfile`; return ``(fn's result, a
     tottime-sorted top-``top`` stats table as text)``."""
@@ -968,7 +909,7 @@ def _run_contention_report(args) -> int:
 
 
 def _run_diff_verify(args) -> int:
-    """``repro diff-verify``: fast path vs reference, field for field."""
+    """``repro diff-verify``: bus fast path vs reference, field for field."""
     from .testing import differential_check
     from .workloads.registry import BENCHMARK_ORDER
 
@@ -985,15 +926,6 @@ def _run_diff_verify(args) -> int:
         lock_schemes = tuple(sorted(registry))
     else:
         lock_schemes = tuple(s.strip() for s in args.locks.split(",") if s.strip())
-    from .testing import VARY_ALL
-
-    vary = {
-        "all": VARY_ALL,
-        "fast-path": ("fast_path",),
-        "bus-fast-path": ("bus_fast_path",),
-        "segment-kernel": ("segment_kernel",),
-        "spin-kernel": ("spin_kernel",),
-    }[args.vary]
     reports = differential_check(
         programs=programs,
         lock_schemes=lock_schemes,
@@ -1002,13 +934,12 @@ def _run_diff_verify(args) -> int:
         seed=args.seed,
         progress=lambda r: print(r.summary(), flush=True),
         audit=args.audit,
-        vary=vary,
         trace_cache=_trace_cache_arg(args),
     )
     bad = [r for r in reports if not r.equal or r.violations]
     for r in bad:
         if not r.equal:
-            print(f"\n{r.label}: fast path diverged from reference:")
+            print(f"\n{r.label}: bus fast path diverged from reference:")
             for line in r.diffs:
                 print(f"  {line}")
         if r.violations:
@@ -1024,21 +955,13 @@ def _run_diff_verify(args) -> int:
 def _machine_config(args, ts):
     """The machine configuration implied by shared CLI flags (None means
     the paper defaults, letting ``simulate`` choose)."""
-    no_fast = getattr(args, "no_fast_path", False)
     no_bus_fast = getattr(args, "no_bus_fast_path", False)
-    no_kernel = getattr(args, "no_segment_kernel", False)
-    no_spin = getattr(args, "no_spin_kernel", False)
     audit = getattr(args, "audit", False)
-    if no_fast or no_bus_fast or no_kernel or no_spin or audit:
+    if no_bus_fast or audit:
         from .machine.config import MachineConfig
 
         return MachineConfig(
-            n_procs=ts.n_procs,
-            fast_path=not no_fast,
-            bus_fast_path=not no_bus_fast,
-            segment_kernel=not no_kernel,
-            spin_kernel=not no_spin,
-            audit=audit,
+            n_procs=ts.n_procs, bus_fast_path=not no_bus_fast, audit=audit
         )
     return None
 

@@ -85,7 +85,6 @@ class BusOp:
         "on_done",
         "ifetch",
         "supplier",
-        "issued_at",
         "orig",
         "cancelled",
         "fill_state",
@@ -107,7 +106,6 @@ class BusOp:
         self.on_done = on_done
         self.ifetch = ifetch
         self.supplier = None
-        self.issued_at = -1
         self.orig = None  # for DATA_RETURN: the original request
         self.cancelled = False
         self.fill_state = 0  # MESI state the requester installs on completion

@@ -17,7 +17,7 @@ Two interchangeable arbiter implementations live here, selected by the
 ``fast_path`` constructor flag (wired to ``MachineConfig.bus_fast_path``,
 CLI ``--no-bus-fast-path``):
 
-* the **reference arbiter** (:meth:`Bus._grant_ref`) keeps the waiting
+* the **reference arbiter** (:meth:`Bus._grant`) keeps the waiting
   ports in a set, sorts it per arbitration, and rotates the sorted order
   to start after the last grantee; each grant with a completion callback
   allocates a fresh fire closure;
@@ -238,7 +238,6 @@ class Bus:
                     self._ready &= ~(1 << idx)
                 self._rr = idx + 1 if idx + 1 < n else 0
                 self.busy = True
-                op.issued_at = time
                 if audit is not None:
                     audit.on_grant_pre(op, time, idx)
                 hold, done = service.execute(op, time)
@@ -329,7 +328,6 @@ class Bus:
                 waiting.discard(idx)
             self._rr = idx + 1 if idx + 1 < n else 0
             self.busy = True
-            op.issued_at = time
             if audit is not None:
                 audit.on_grant_pre(op, time, idx)
             hold, done = service.execute(op, time)

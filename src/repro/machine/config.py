@@ -14,7 +14,7 @@ the request, three in memory, two to return the 16-byte line over the
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 
 __all__ = ["CacheConfig", "BusConfig", "MemoryConfig", "MachineConfig"]
 
@@ -103,65 +103,27 @@ class MachineConfig:
         it is not stalling.  Smaller values interleave snoop traffic more
         finely at the cost of simulation speed; 1 is exact
         record-by-record interleaving.
-    fast_path:
-        Enable the private-window fast path through the trace
-        interpreter (:mod:`repro.machine.fastpath`).  Runs of references
-        that provably hit in the local cache with no bus, snoop or lock
-        interaction are retired in one step instead of one access at a
-        time.  **Metric-neutral by construction**: results are
-        byte-identical to the reference interpreter (enforced by
-        :mod:`repro.testing.differential` and the golden fixtures), so
-        this is purely an escape hatch for debugging and for measuring
-        the fast path itself.
     bus_fast_path:
         Enable the contended-path fast path through the bus/miss/lock
         machinery: O(1) bitmask round-robin arbitration, fused
         grant->fire->release dispatch, and preallocated (closure-free)
         completion trampolines in the bus service and memory module.
-        Like ``fast_path`` this is **metric-neutral by construction** --
-        the reference arbiter and closure-based completion chain are
-        kept verbatim as the ``False`` path and the differential
-        harness proves both byte-identical on every suite cell -- so the
-        flag is purely an escape hatch for debugging and for measuring
-        the contended fast path itself (see docs/performance.md).
-    segment_kernel:
-        Enable the columnar segment-retirement kernel
-        (:mod:`repro.machine.kernel`): when the *whole machine* is
-        quiet -- every processor in a private bus-free run, no bus
-        transaction, memory operation, buffered write-back or pending
-        drain in flight -- entire multi-batch spans of trace records are
-        validated and retired with vectorized ndarray arithmetic in one
-        engine event instead of one interpreter bounce per batch.  Like
-        the other fast paths it is **metric-neutral by construction**:
-        the kernel only collapses interpreter bounces that provably
-        schedule nothing observable, reproduces their exact resume
-        cadence, and bails to the ordinary interpreter at the first
-        record it cannot prove silent.  Byte-identity is enforced by the
-        differential grid (``diff-verify --vary segment-kernel``), a
-        hypothesis property suite, and a mutation self-test; the flag is
-        an escape hatch for debugging and for measuring the kernel
-        itself (see docs/performance.md).  Auto-disabled on the
-        reference ``HeapEngine``.
-    spin_kernel:
-        Enable the spin-phase collapse kernel
-        (:mod:`repro.machine.spinphase`): when every non-drained
-        processor is either spinning/enqueued on a held lock or is the
-        holder advancing through its critical section, the holder's
-        interpreter bounces are fast-forwarded to the release in closed
-        form -- iteration counts, cycle accounting and cache-state
-        transitions synthesized arithmetically -- while the hand-off
-        itself still replays through the per-record path, so grant
-        order, claim protocol, and auditor hooks are untouched.  Each
-        lock scheme certifies its waiters through the spin-signature
-        extension of :class:`repro.sync.base.LockManager` (idle
-        enqueued/cached-spin waiters, or periodic retry timers that
-        bound the collapse horizon).  Like the other fast paths it is
-        **metric-neutral by construction**, enforced by the
-        differential grid (``diff-verify --vary spin-kernel``), a
-        hypothesis property suite, and a SPIN-fault mutation self-test;
-        off restores the previous behaviour byte-for-byte (see
-        docs/performance.md).  Auto-disabled on the reference
-        ``HeapEngine``.
+        **Metric-neutral by construction** -- the reference arbiter and
+        closure-based completion chain are kept verbatim as the
+        ``False`` path and the differential harness proves both
+        byte-identical on every suite cell -- so the flag is purely an
+        escape hatch for debugging and for measuring the contended fast
+        path itself (see docs/performance.md).  Trace records always
+        retire through the per-record interpreter
+        (:mod:`repro.machine.processor`).
+    fast_path, segment_kernel, spin_kernel:
+        Retired knobs of the removed window fast path and collapse
+        kernels.  Accepted only as ``False`` -- the per-record
+        interpreter they selected is now the only one -- and stored
+        nowhere; any other value raises :class:`ValueError`.  The
+        benchmark's reference pass (``perfbench/cold.py --reference``)
+        still names them; remove this shim together with those names at
+        the next change to the benchmark.
     """
 
     n_procs: int = 12
@@ -170,10 +132,7 @@ class MachineConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     cachebus_buffer_depth: int = 4
     batch_records: int = 32
-    fast_path: bool = True
     bus_fast_path: bool = True
-    segment_kernel: bool = True
-    spin_kernel: bool = True
     #: snooping coherence protocol: "illinois" (the paper's
     #: write-invalidate MESI) or "update" (Firefly-style write-update;
     #: extension -- see repro.machine.coherence)
@@ -182,8 +141,22 @@ class MachineConfig:
     #: "simulator sanitizer", see repro.audit; CLI --audit).  Auditing is
     #: observation-only: results are byte-identical with it on or off.
     audit: bool = False
+    fast_path: InitVar[bool] = False
+    segment_kernel: InitVar[bool] = False
+    spin_kernel: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, fast_path, segment_kernel, spin_kernel) -> None:
+        for name, value, path in (
+            ("fast_path", fast_path, "private-window fast path"),
+            ("segment_kernel", segment_kernel, "columnar segment kernel"),
+            ("spin_kernel", spin_kernel, "spin-phase collapse kernel"),
+        ):
+            if value is not False:
+                raise ValueError(
+                    f"{name}={value!r}: the {path} was removed; trace records "
+                    "retire through the per-record interpreter only, so the "
+                    "knob accepts nothing but False"
+                )
         if self.n_procs < 1:
             raise ValueError("n_procs must be >= 1")
         if self.cachebus_buffer_depth < 1:
@@ -250,10 +223,7 @@ class MachineConfig:
             "memory": asdict(self.memory),
             "cachebus_buffer_depth": self.cachebus_buffer_depth,
             "batch_records": self.batch_records,
-            "fast_path": self.fast_path,
             "bus_fast_path": self.bus_fast_path,
-            "segment_kernel": self.segment_kernel,
-            "spin_kernel": self.spin_kernel,
             "coherence": self.coherence,
             "audit": self.audit,
         }
@@ -267,11 +237,10 @@ class MachineConfig:
             memory=MemoryConfig(**d["memory"]),
             cachebus_buffer_depth=d["cachebus_buffer_depth"],
             batch_records=d["batch_records"],
-            # absent in descriptions serialized before the fast paths existed
-            fast_path=d.get("fast_path", True),
+            # absent in descriptions serialized before the bus fast path
+            # existed; the retired fast_path/segment_kernel/spin_kernel
+            # keys of older descriptions are ignored, whatever their value
             bus_fast_path=d.get("bus_fast_path", True),
-            segment_kernel=d.get("segment_kernel", True),
-            spin_kernel=d.get("spin_kernel", True),
             coherence=d["coherence"],
             # absent in descriptions serialized before the auditor existed
             audit=d.get("audit", False),

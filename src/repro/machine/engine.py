@@ -106,14 +106,6 @@ class Engine:
     def pending(self) -> int:
         return self._pending
 
-    def events_at(self, time: int):
-        """The dispatch bucket scheduled for ``time`` (the shared list:
-        callers must treat it as read-only).  During dispatch the live
-        cycle's bucket is visible, including its already-fired prefix.
-        Introspection for the segment kernel's bucket-order replay
-        (:mod:`repro.machine.kernel`) and for tests."""
-        return self._buckets.get(time, ())
-
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Drain the event queue.
 

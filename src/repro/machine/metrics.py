@@ -111,12 +111,10 @@ class RunResult:
     invalidations_received: int
     buffer_max_occupancy: int
     meta: dict = field(default_factory=dict)
-    #: fast-path/kernel introspection (attempt, rejection and collapse
-    #: counters).  Excluded from equality and from serialization
-    #: (repro.runner.serialize): the optimization knobs must leave the
-    #: *result* byte-identical, so diagnostics can never feed a table,
-    #: a golden file or a differential comparison -- they surface only
-    #: through ``repro run --profile``.
+    #: run introspection that must never feed a table, a golden file or
+    #: a differential comparison: excluded from equality and from
+    #: serialization (repro.runner.serialize).  The simulator records
+    #: nothing here today; tracing tools read the field on every run.
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     # -- Table 3/5/7 columns ----------------------------------------------------

@@ -5,22 +5,8 @@ stalling per the configured consistency model and lock scheme.  The
 interpreter advances its *local* clock through cache hits without
 touching the global event queue, re-synchronizing with the engine every
 ``batch_records`` records or whenever it must interact with the shared
-machinery (a miss, a buffered write, a synchronization point).
-
-When the machine is configured with ``fast_path=True`` (the default), a
-*private-window* fast path sits in front of the record-by-record loop:
-static window tables (:mod:`repro.machine.fastpath`) mark runs of
-records that can possibly retire with no bus interaction, and at run
-time the interpreter probes the current MESI state of a window's line
-span and retires the entire validated prefix in one step -- counters
-advanced by precomputed prefix sums, LRU refreshed in last-touch order.
-The retirement is byte-identical to the slow replay because nothing a
-pure cache hit does is observable to the rest of the machine: it
-schedules no engine event, issues no bus operation, and consumes
-interpreter budget exactly as the per-record loop would.  Validation
-failures (a line another processor invalidated, a write whose line is
-not MODIFIED) simply fall through to the reference loop for the
-offending record.
+machinery (a miss, a buffered write, a synchronization point).  This
+record-by-record loop is the only way a trace record retires.
 
 Stall bookkeeping matches the paper's: time lost to cache misses, to
 waiting for locks (including acquire/release overhead), to weak-ordering
@@ -51,24 +37,16 @@ __all__ = ["Processor"]
 _WORD_SHIFT = 2  # REP_STRIDE == 4-byte elements
 _INSTR_BYTES = 4
 
-# Adaptive fast-path gate.  A window attempt that retires fewer than
-# _FP_MIN_RETIRE records did not amortize its setup/retirement overhead,
-# so further attempts are suspended for the next _FP_BACKOFF records.
-# This is purely a cost heuristic: gated records take the reference path,
-# which retires them identically, so results are byte-equal either way.
-_FP_MIN_RETIRE = 4
-_FP_BACKOFF = 64
-
 # Per-trace interpreter tables, memoized across System instances: the
-# ``.tolist()`` record columns and the fast-path window tables are pure
-# functions of the (immutable) record array, and a suite run simulates
-# the same traceset under several machine configurations.  Keyed by
-# ``id(records)`` with a weakref identity check so a recycled id of a
-# garbage-collected array can never alias.
+# ``.tolist()`` record columns are pure functions of the (immutable)
+# record array, and a suite run simulates the same traceset under
+# several machine configurations.  Keyed by ``id(records)`` with a
+# weakref identity check so a recycled id of a garbage-collected array
+# can never alias.
 _interp_memo: dict[int, tuple] = {}
 
 
-def _interp_tables(trace, offset_bits: int, writethrough: bool, want_fp: bool):
+def _interp_tables(trace):
     import weakref
 
     rec = trace.records
@@ -83,19 +61,10 @@ def _interp_tables(trace, offset_bits: int, writethrough: bool, want_fp: bool):
             rec["addr"].tolist(),
             rec["arg"].tolist(),
             rec["cycles"].tolist(),
-            {},  # (offset_bits, writethrough) -> WindowTables
         )
         _interp_memo[key] = ent
-    fp = None
-    if want_fp:
-        from .fastpath import build_tables
+    return ent[1:]
 
-        fp_key = (offset_bits, writethrough)
-        fp = ent[5].get(fp_key)
-        if fp is None:
-            fp = build_tables(rec, offset_bits, writethrough)
-            ent[5][fp_key] = fp
-    return ent[1], ent[2], ent[3], ent[4], fp
 
 # blocked states
 _RUNNING = 0
@@ -117,7 +86,6 @@ class Processor:
         system,  # repro.machine.system.System
         model: ConsistencyModel,
         batch_records: int,
-        fast_path: bool = True,
         bus_fast_path: bool = True,
     ) -> None:
         self.proc = proc
@@ -135,16 +103,9 @@ class Processor:
         # Plain lists index several times faster than numpy scalars in
         # the per-record hot loop (see the hpc guides: measure first --
         # this was the profiled bottleneck); memoized per trace.
-        (
-            self._kind,
-            self._addr,
-            self._arg,
-            self._cycles,
-            self._fp,
-        ) = _interp_tables(trace, self._line_shift, self._writethrough, fast_path)
+        self._kind, self._addr, self._arg, self._cycles = _interp_tables(trace)
         self._n = len(self._kind)
 
-        fp = self._fp
         # Everything ``_run`` reads on entry, packed into one tuple: the
         # interpreter resumes once per engine event (tens of thousands of
         # times per run) and a single unpack is much cheaper than ~25
@@ -160,44 +121,12 @@ class Processor:
             self._line_shift,
             self._words_per_line,
             self._n,
-            fp.code if fp is not None else None,
-            fp.win_end if fp is not None else None,
-            fp.c_read if fp is not None else None,
-            fp.c_write if fp is not None else None,
-            fp.c_ifetch if fp is not None else None,
-            fp.c_cycles if fp is not None else None,
-            fp.c_refs if fp is not None else None,
-            cache.state,
             cache.state.get,
             cache._ways,
             cache._set_mask,
             cache.assoc,
             bus_fast_path,
         )
-        #: fast-path introspection (NOT part of RunResult: the fast and
-        #: reference paths must produce byte-identical results)
-        self.fp_windows = 0  # windows retired
-        self.fp_records = 0  # records retired through windows
-        self.fp_refs = 0  # elementary references retired through windows
-        #: adaptive gate: record index at which window attempts resume
-        self.fp_resume_at = 0
-        self._fp_log: list | None = None  # tests: (start, end) record spans
-
-        #: columnar segment kernel (repro.machine.kernel): planted by the
-        #: System when MachineConfig.segment_kernel is on and the engine
-        #: is the production bucketed Engine
-        self._kernel = None
-        self._kern_end = None  # the kernel's win_end table for this trace
-        #: adaptive gate: record index at which kernel attempts resume
-        self._kernel_gate = 0
-        #: pending resumes the kernel has collapsed: consumed as no-ops
-        #: at _run entry (a counter: overlapping segments can strand
-        #: more than one stale event)
-        self._kernel_skip = 0
-        #: a LOCK/UNLOCK/BARRIER hand-off (_begin_sync) is scheduled but
-        #: has not fired: the processor is _RUNNING yet must not be
-        #: treated as being inside a private run
-        self._sync_pending = False
         #: preallocated resume callback: the interpreter re-enters through
         #: the engine tens of thousands of times per run, and scheduling a
         #: cached bound method avoids allocating a fresh one each time
@@ -241,22 +170,6 @@ class Processor:
     # -- the interpreter loop ------------------------------------------------------
     def _run(self, _t: int) -> None:
         # self.time is authoritative; the engine event merely resumes us.
-        kern = self._kernel
-        if kern is not None:
-            if self._kernel_skip:
-                # a resume the segment kernel already collapsed: its
-                # whole bounce was retired columnar, nothing to do
-                self._kernel_skip -= 1
-                return
-            i = self.idx
-            if (
-                self.pos == 0
-                and i >= self._kernel_gate
-                and i < self._n
-                and self._kern_end[i] - i >= kern.min_span
-                and kern.attempt(self)
-            ):
-                return  # collapsed: our next live bounce is scheduled
         (
             kinds,
             addrs,
@@ -268,14 +181,6 @@ class Processor:
             line_shift,
             wpl,
             n,
-            fp_code,
-            fp_end,
-            fp_cr,
-            fp_cw,
-            fp_ci,
-            fp_cc,
-            fp_cn,
-            cstate,
             sget,
             ways,
             set_mask,
@@ -284,9 +189,6 @@ class Processor:
         ) = self._hot
         budget = self.batch
         self.state = _RUNNING
-        MOD = MODIFIED
-        EXC = EXCLUSIVE
-        fp_resume = self.fp_resume_at
 
         while True:
             if budget <= 0:
@@ -297,138 +199,6 @@ class Processor:
             if i >= n:
                 self._finish(self.time)
                 return
-
-            if (
-                fp_code is not None
-                and self.pos == 0
-                and i >= fp_resume
-                and (v := fp_code[i]) is not None
-            ):
-                # -- private-window fast path ---------------------------------
-                # Validate the longest budget-bounded prefix of the
-                # eligible run starting at i: every line a record spans
-                # must currently be resident (EXCLUSIVE/MODIFIED for
-                # writes -- the silent write hits).  Validation mirrors
-                # the slow path's first probe per access exactly, and a
-                # record that fails validation is left untouched, so a
-                # failed prefix falls through at no cost to correctness.
-                j = fp_end[i]
-                lim = i + budget + 1  # this record's budget share is spent
-                if j > lim:
-                    j = lim
-                k = i
-                prev = None
-                while True:
-                    if v == prev:
-                        # same code as the previous record: its lines are
-                        # validated and already MRU -- nothing to redo
-                        pass
-                    elif type(v) is int:
-                        if v >= 0:  # single-line read/ifetch
-                            st = sget(v)
-                            if st is None:
-                                break
-                            line = v
-                        else:  # single-line write
-                            line = ~v
-                            st = sget(line)
-                            if st is None or st < EXC:
-                                break
-                            if st != MOD:
-                                # silent E->M write hit, exactly as the
-                                # reference WRITE handler performs it
-                                cstate[line] = MOD
-                        base = (line & set_mask) * assoc
-                        if ways[base] != line:
-                            if assoc == 2:
-                                # resident + not MRU => it is the other way
-                                ways[base + 1] = ways[base]
-                                ways[base] = line
-                            else:
-                                w = base + 1
-                                while ways[w] != line:
-                                    w += 1
-                                while w > base:
-                                    ways[w] = ways[w - 1]
-                                    w -= 1
-                                ways[base] = line
-                    else:
-                        # multi-line span: probe everything before
-                        # touching anything -- a failure must leave the
-                        # cache untouched so the slow path replays the
-                        # record from scratch
-                        lo, hi, wr = v
-                        ok = True
-                        if wr:
-                            for line in range(lo, hi + 1):
-                                st = sget(line)
-                                if st is None or st < EXC:
-                                    ok = False
-                                    break
-                        else:
-                            for line in range(lo, hi + 1):
-                                if sget(line) is None:
-                                    ok = False
-                                    break
-                        if not ok:
-                            break
-                        # touch in ascending line order -- literally the
-                        # reference interpreter's chunk order
-                        for line in range(lo, hi + 1):
-                            if wr:
-                                cstate[line] = MOD  # silent E->M included
-                            base = (line & set_mask) * assoc
-                            if ways[base] != line:
-                                if assoc == 2:
-                                    ways[base + 1] = ways[base]
-                                    ways[base] = line
-                                else:
-                                    w = base + 1
-                                    while ways[w] != line:
-                                        w += 1
-                                    while w > base:
-                                        ways[w] = ways[w - 1]
-                                        w -= 1
-                                    ways[base] = line
-                    k += 1
-                    if k >= j:
-                        break
-                    prev = v
-                    v = fp_code[k]  # never None inside an eligible run
-                if k > i:
-                    # retire records [i, k) in one step
-                    budget -= k - i - 1
-                    d = fp_cr[k] - fp_cr[i]
-                    if d:
-                        ctr.read_hits += d
-                    d = fp_cw[k] - fp_cw[i]
-                    if d:
-                        ctr.write_hits += d
-                    d = fp_ci[k] - fp_ci[i]
-                    if d:
-                        ctr.ifetch_hits += d
-                    cyc = fp_cc[k] - fp_cc[i]
-                    if cyc:
-                        self.time += cyc
-                        met.work_cycles += cyc
-                    refs = fp_cn[k] - fp_cn[i]
-                    met.refs_processed += refs
-                    self.idx = k
-                    self.fp_windows += 1
-                    self.fp_records += k - i
-                    self.fp_refs += refs
-                    if self._fp_log is not None:
-                        self._fp_log.append((i, k))
-                    if k - i < _FP_MIN_RETIRE:
-                        # too short to amortize window overhead: back off
-                        fp_resume = k + _FP_BACKOFF
-                        self.fp_resume_at = fp_resume
-                    continue
-                # validation failed at record i: interpret it one access
-                # at a time below (and back the gate off -- this phase of
-                # the trace is missing, so attempts are pure overhead)
-                fp_resume = i + _FP_BACKOFF
-                self.fp_resume_at = fp_resume
 
             k = kinds[i]
 
@@ -747,7 +517,6 @@ class Processor:
                 # the global clock at this processor's local time.
                 self.idx = i + 1
                 kk, ident, la = k, args[i], addrs[i]
-                self._sync_pending = True
                 self.system.engine.at(
                     self.time, lambda t: self._begin_sync(kk, ident, la)
                 )
@@ -756,7 +525,6 @@ class Processor:
             elif k == BARRIER:
                 self.idx = i + 1
                 ident = args[i]
-                self._sync_pending = True
                 self.system.engine.at(
                     self.time, lambda t: self._begin_sync(BARRIER, ident, 0)
                 )
@@ -836,7 +604,6 @@ class Processor:
     def _begin_sync(self, kind: int, ident: int, lock_addr: int) -> None:
         """LOCK/UNLOCK/BARRIER record: drain if weakly ordered, then hand
         off to the lock/barrier manager."""
-        self._sync_pending = False
         if self.model.drain_at_sync:
             self.metrics.drains += 1
             if self.outstanding > 0:

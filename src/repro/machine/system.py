@@ -128,7 +128,6 @@ class System:
                 self,
                 model,
                 config.batch_records,
-                fast_path=config.fast_path,
                 bus_fast_path=config.bus_fast_path,
             )
             for p in range(n)
@@ -210,29 +209,6 @@ class System:
         # inline engine scheduling (bucket append without the ``at`` call)
         # is only exact against the production Engine's internals
         self._sched_inline = config.bus_fast_path and type(self.engine) is Engine
-
-        #: columnar segment-retirement kernel (MachineConfig.segment_kernel):
-        #: collapses machine-wide quiet segments into one engine event per
-        #: processor.  Replays the production Engine's bucket insertion
-        #: order exactly, so -- like the inline-scheduling shortcuts -- it
-        #: auto-disables on the reference HeapEngine.  Built before the
-        #: auditor attaches so audit mode sees every collapse.
-        self.kernel = None
-        if type(self.engine) is Engine:
-            if config.spin_kernel:
-                # the spin-phase kernel subsumes the segment kernel; the
-                # segment_kernel knob keeps controlling whether zero-
-                # waiter quiet segments collapse, so the two toggles stay
-                # independent in the differential grid
-                from .spinphase import SpinKernel
-
-                self.kernel = SpinKernel(
-                    self, collapse_quiet=config.segment_kernel
-                )
-            elif config.segment_kernel:
-                from .kernel import SegmentKernel
-
-                self.kernel = SegmentKernel(self)
 
         from ..audit import maybe_attach
 
@@ -855,32 +831,6 @@ class System:
             c = cache.counters
             for key in agg:
                 agg[key] += getattr(c, key)
-        # kernel/fast-path introspection: never serialized or compared
-        # (RunResult.diagnostics is compare=False), printed by
-        # ``repro run --profile``
-        diagnostics = {
-            "fp_windows": sum(p.fp_windows for p in self.procs),
-            "fp_records": sum(p.fp_records for p in self.procs),
-        }
-        kern = self.kernel
-        if kern is not None:
-            diagnostics.update(
-                kernel_attempts=kern.attempts,
-                kernel_rejected=kern.rejected,
-                kernel_segments=kern.segments,
-                kernel_collapsed_procs=kern.collapsed_procs,
-                kernel_records=kern.records,
-                kernel_bounces=kern.bounces,
-            )
-            if hasattr(kern, "spin_segments"):
-                diagnostics.update(
-                    spin_segments=kern.spin_segments,
-                    spin_waiters=kern.spin_waiters,
-                    spin_idle_certs=kern.spin_idle_certs,
-                    spin_timer_certs=kern.spin_timer_certs,
-                    spin_opaque_rejects=kern.spin_opaque_rejects,
-                    spin_window_rejects=kern.spin_window_rejects,
-                )
         return RunResult(
             program=self.traceset.program,
             n_procs=self.config.n_procs,
@@ -900,7 +850,6 @@ class System:
                 "drains": sum(p.metrics.drains for p in self.procs),
                 "drains_nonempty": sum(p.metrics.drains_nonempty for p in self.procs),
             },
-            diagnostics=diagnostics,
             **agg,
         )
 

@@ -10,7 +10,7 @@ docs/locks.md for the catalog and the predictor's validation table.
 
 from .backoff import BackoffTestAndSetLockManager
 from .barrier import BarrierManager, BarrierStats
-from .base import SPIN_IDLE, SPIN_OPAQUE, LockManager, LockPortAPI, LockState
+from .base import LockManager, LockPortAPI, LockState
 from .clh import CLHLockManager
 from .exact_queuing import ExactQueuingLockManager
 from .mcs import MCSLockManager
@@ -33,8 +33,6 @@ __all__ = [
     "LockStatsCollector",
     "MCSLockManager",
     "QueuingLockManager",
-    "SPIN_IDLE",
-    "SPIN_OPAQUE",
     "TestAndSetLockManager",
     "TestAndTestAndSetLockManager",
     "TicketLockManager",

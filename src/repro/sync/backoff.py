@@ -87,11 +87,8 @@ class BackoffTestAndSetLockManager(LockManager):
     def _schedule_retry(self, st: LockState, proc: int, when: int) -> None:
         """Arm the next backed-off test-and-set attempt (a separate
         method so the audit mutation tests can corrupt exactly this
-        wakeup -- see repro.audit.faults).  Routed through
-        :meth:`_timed_call`, which is the scheme's spin signature: a
-        backed-off waiter is *never* idle -- its capped-ladder retry
-        timer bounds how far a spin-phase collapse may fast-forward."""
-        self._timed_call(proc, when, lambda t: self._attempt(st, proc, t))
+        wakeup -- see repro.audit.faults)."""
+        self.machine.call_at(when, lambda t: self._attempt(st, proc, t))
 
     def release(self, proc, lock_id, line, time, done_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
@@ -117,7 +114,7 @@ class BackoffTestAndSetLockManager(LockManager):
 
         if st.last_writer == proc and st.cached_by == {proc}:
             # Backed-off spinners have not stolen the line: silent hit.
-            self._timed_call(proc, time + 1, write_done)
+            self.machine.call_at(time + 1, write_done)
         else:
             # Reclaim the line to perform the release store.
             self.machine.issue_lock_op(proc, LOCK_RFO, line, write_done)

@@ -24,18 +24,7 @@ from typing import Callable, Protocol
 
 from .stats import LockStatsCollector
 
-__all__ = ["LockManager", "LockPortAPI", "LockState", "SPIN_IDLE", "SPIN_OPAQUE"]
-
-#: :meth:`LockManager.spin_wakeup` verdict: the waiter is certified
-#: *idle* -- it holds no pending engine event at all (it is enqueued in
-#: the manager, or spinning on a valid cached copy) and can only be
-#: woken by another processor's lock operation.
-SPIN_IDLE = -1
-#: :meth:`LockManager.spin_wakeup` verdict: the manager cannot certify
-#: this waiter's spin signature; the spin kernel must not collapse past
-#: it.  This is the safe default for schemes that never call
-#: :meth:`LockManager._timed_call` and declare no idle signature.
-SPIN_OPAQUE = -2
+__all__ = ["LockManager", "LockPortAPI", "LockState"]
 
 
 class LockPortAPI(Protocol):
@@ -115,61 +104,9 @@ class LockManager:
         self.machine: LockPortAPI | None = None
         #: optional runtime invariant auditor (see repro.audit)
         self.audit = None
-        #: spin signature: pending manager timers per processor (fire
-        #: times of every live :meth:`_timed_call`); consumed by the
-        #: spin-phase kernel via :meth:`spin_wakeup`
-        self._spin_timers: dict[int, list[int]] = {}
 
     def attach(self, machine: LockPortAPI) -> None:
         self.machine = machine
-
-    # -- spin signature (consumed by repro.machine.spinphase) -------------------
-    def _timed_call(self, proc: int, when: int, fn: Callable[[int], None]) -> None:
-        """``machine.call_at`` that *declares* the timer: the pending
-        fire time is registered against ``proc`` until the callback
-        runs, so :meth:`spin_wakeup` can bound how far a collapse may
-        fast-forward.  Schemes must route every plain-callback timer
-        (silent-release completions, backoff/T&S retry probes) through
-        this instead of ``machine.call_at`` directly; scheduling order
-        and fire times are unchanged."""
-        times = self._spin_timers.setdefault(proc, [])
-        times.append(when)
-
-        def fire(t: int, times=times, when=when, fn=fn) -> None:
-            times.remove(when)
-            fn(t)
-
-        self.machine.call_at(when, fire)
-
-    def _spin_idle(self, proc: int) -> bool:
-        """Scheme-declared idle-waiter signature: True iff ``proc`` is
-        provably *event-free* while it waits -- enqueued in the manager
-        or spinning on a valid cached copy, with nothing scheduled on
-        its behalf.  The base declares nothing (opaque)."""
-        return False
-
-    def _enqueued(self, proc: int) -> bool:
-        """True iff ``proc`` waits in some lock's manager queue (the
-        shared idle signature of the queue-structured schemes: such a
-        waiter holds no engine event and is resumed only by a release
-        hand-off)."""
-        for st in self.locks.values():
-            for w in st.queue:
-                if w[0] == proc:
-                    return True
-        return False
-
-    def spin_wakeup(self, proc: int) -> int:
-        """The spin signature of a lock-blocked processor: the earliest
-        engine time a manager timer will run on ``proc``'s behalf,
-        ``SPIN_IDLE`` if the scheme certifies the waiter holds no
-        pending event at all, or ``SPIN_OPAQUE`` if it cannot say."""
-        times = self._spin_timers.get(proc)
-        if times:
-            return min(times)
-        if self._spin_idle(proc):
-            return SPIN_IDLE
-        return SPIN_OPAQUE
 
     def state_of(self, lock_id: int, line: int) -> LockState:
         st = self.locks.get(lock_id)

@@ -40,12 +40,6 @@ class CLHLockManager(LockManager):
     name = "clh"
     fifo = True
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: a queued waiter spins on its predecessor's
-        node from its own cache -- silent until the predecessor's
-        release store invalidates the copy."""
-        return self._enqueued(proc)
-
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
 
@@ -117,7 +111,7 @@ class CLHLockManager(LockManager):
             st.owner = None
             if st.cached_by == {proc} and st.last_writer == proc:
                 # Node line still MODIFIED locally: silent write hit.
-                self._timed_call(proc, time + 1, lambda t: done_cb(t, False))
+                self.machine.call_at(time + 1, lambda t: done_cb(t, False))
             else:
                 st.cached_by = {proc}
                 st.last_writer = proc

@@ -36,11 +36,6 @@ class ExactQueuingLockManager(LockManager):
     name = "exact-queuing"
     fifo = True
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: as in ``queuing``, an enqueued waiter spins
-        on its private location with no engine event pending."""
-        return self._enqueued(proc)
-
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
 

@@ -40,12 +40,6 @@ class MCSLockManager(LockManager):
     name = "mcs"
     fifo = True
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: a linked waiter spins on its own queue node
-        in its own cache -- no bus traffic, no engine event -- until the
-        releaser's store to that node arrives."""
-        return self._enqueued(proc)
-
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
 
@@ -96,7 +90,7 @@ class MCSLockManager(LockManager):
 
             self.machine.issue_lock_op(nxt, LOCK_XFER, st.line, xfer_done, front=True)
             # The releaser's store retires into its write buffer.
-            self._timed_call(proc, time + 1, lambda t: done_cb(t, False))
+            self.machine.call_at(time + 1, lambda t: done_cb(t, False))
         else:
             self.stats.on_release(hold, waiters_left=0, transferred=False, lock_id=lock_id)
             st.owner = None

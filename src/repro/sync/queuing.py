@@ -37,11 +37,6 @@ class QueuingLockManager(LockManager):
     #: bus-op kind used for the enqueue/acquire memory access
     _ACQ_KIND = LOCK_MEM
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: a waiter parked in the manager's FIFO holds
-        no engine event; the release hand-off is what resumes it."""
-        return self._enqueued(proc)
-
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
 

@@ -59,8 +59,8 @@ class TestAndSetLockManager(LockManager):
                     self.stats.on_acquire(st.lock_id, via_transfer=False)
                     grant_cb(t, False)
             elif self.backoff_cycles:
-                self._timed_call(
-                    proc, t + self.backoff_cycles, lambda t2: self._attempt(st, proc, t2)
+                self.machine.call_at(
+                    t + self.backoff_cycles, lambda t2: self._attempt(st, proc, t2)
                 )
             else:
                 self._attempt(st, proc, t)
@@ -91,7 +91,7 @@ class TestAndSetLockManager(LockManager):
 
         if st.last_writer == proc and st.cached_by == {proc}:
             # Spinner RFOs have not stolen the line: silent write hit.
-            self._timed_call(proc, time + 1, write_done)
+            self.machine.call_at(time + 1, write_done)
         else:
             # Reclaim the line to perform the release store.
             self.machine.issue_lock_op(proc, LOCK_RFO, line, write_done)

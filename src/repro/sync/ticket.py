@@ -51,15 +51,6 @@ class TicketLockManager(LockManager):
     def _infl(self, lock_id: int) -> set[int]:
         return self._inflight.setdefault(lock_id, set())
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: a ticketed waiter spins on its cached copy of
-        the now-serving word -- silent until the release invalidation --
-        so an enqueued waiter with no re-read in flight is idle."""
-        for st in self.locks.values():
-            if proc in self._infl(st.lock_id):
-                return False
-        return self._enqueued(proc)
-
     # -- acquire ----------------------------------------------------------------
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
@@ -122,7 +113,7 @@ class TicketLockManager(LockManager):
             st.owner = None
             if st.cached_by == {proc} and st.last_writer == proc:
                 # Line still MODIFIED locally: the increment is silent.
-                self._timed_call(proc, time + 1, lambda t: done_cb(t, False))
+                self.machine.call_at(time + 1, lambda t: done_cb(t, False))
             else:
                 st.cached_by = {proc}
                 st.last_writer = proc

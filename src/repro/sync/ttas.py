@@ -48,21 +48,6 @@ class TestAndTestAndSetLockManager(LockManager):
     def _infl(self, lock_id: int) -> set[int]:
         return self._inflight.setdefault(lock_id, set())
 
-    def _spin_idle(self, proc: int) -> bool:
-        """Spin signature: a spinner re-reading a *valid cached copy*
-        consumes no bus bandwidth and schedules nothing -- it is woken
-        only by the release burst's invalidation.  A spinner with a
-        lock-line operation in flight is not idle (and the machine is
-        not quiet while the op is buffered or on the bus)."""
-        for st in self.locks.values():
-            if (
-                proc in st.spinners
-                and proc in st.cached_by
-                and proc not in self._infl(st.lock_id)
-            ):
-                return True
-        return False
-
     # -- acquire ----------------------------------------------------------------
     def acquire(self, proc, lock_id, line, time, grant_cb: Callable[[int], None]) -> None:
         st = self.state_of(lock_id, line)
@@ -163,7 +148,7 @@ class TestAndTestAndSetLockManager(LockManager):
             self.machine.issue_lock_op(proc, LOCK_INVAL, line, write_done)
         else:
             # Line already MODIFIED locally: the store is a silent hit.
-            self._timed_call(proc, time + 1, write_done)
+            self.machine.call_at(time + 1, write_done)
 
     # -- snoop hooks (called by the bus service) -------------------------------------
     def on_lock_rfo(self, line: int, proc: int, time: int) -> None:

@@ -11,7 +11,6 @@ from .differential import (
     LOCK_SCHEMES,
     MODELS,
     SUITE_PROGRAMS,
-    VARY_ALL,
     dict_diff,
     differential_check,
     run_cell,
@@ -22,7 +21,6 @@ __all__ = [
     "LOCK_SCHEMES",
     "MODELS",
     "SUITE_PROGRAMS",
-    "VARY_ALL",
     "dict_diff",
     "differential_check",
     "run_cell",

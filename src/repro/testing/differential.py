@@ -1,20 +1,21 @@
-"""Differential verification of the trace-interpreter fast path.
+"""Differential verification of the bus fast path.
 
-The machine's private-window fast path (:mod:`repro.machine.fastpath`)
+The machine's contended-path fast path (``MachineConfig.bus_fast_path``)
 claims to be *metric-neutral*: for any traceset and configuration, a run
-with ``fast_path=True`` must produce a :class:`~repro.machine.metrics.
-RunResult` that serializes byte-for-byte identically to a run with the
-reference record-by-record interpreter.  This module checks that claim
-the only way it can be checked -- by running both and comparing every
-serialized field.
+with it on must produce a :class:`~repro.machine.metrics.RunResult` that
+serializes byte-for-byte identically to a run with the reference
+arbiter and completion chain it replaces.  This module checks that
+claim the only way it can be checked -- by running both and comparing
+every serialized field.
 
 :func:`differential_check` sweeps the paper's six workloads under the
 lock-scheme grid and both consistency models (72 cells at default
-scale: six workloads x six schemes x two models) and
-reports, per cell, whether the two runs agree and how much work the fast
-path actually retired.  :func:`dict_diff` renders any disagreement as a
-readable per-field report (shared with the golden-result regression
-test, which has the same problem: "two result dicts differ -- where?").
+scale: six workloads x six schemes x two models) and reports, per cell,
+whether the two runs agree and the digest of the production run (the
+value the reference-digest tables under ``tests/golden/`` pin).
+:func:`dict_diff` renders any disagreement as a readable per-field
+report (shared with the golden-result regression test, which has the
+same problem: "two result dicts differ -- where?").
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from ..consistency import get_model
 from ..machine.config import MachineConfig
 from ..machine.system import System
-from ..runner.serialize import result_to_dict, result_to_json
+from ..runner.serialize import result_to_json
 from ..sync import get_lock_manager
 from ..trace.records import TraceSet
 
@@ -111,19 +112,6 @@ class CellReport:
     equal: bool
     #: per-field differences (empty when ``equal``)
     diffs: list[str] = field(default_factory=list)
-    #: fast-path coverage: windows retired, records and elementary
-    #: references retired through them, total references of the run
-    fp_windows: int = 0
-    fp_records: int = 0
-    fp_refs: int = 0
-    total_refs: int = 0
-    #: segment-kernel coverage of the fast run: machine-quiet segments
-    #: collapsed and records retired columnar (repro.machine.kernel)
-    kernel_segments: int = 0
-    kernel_records: int = 0
-    #: spin-phase coverage of the fast run: lock-wait phases collapsed
-    #: with certified waiters (repro.machine.spinphase)
-    spin_segments: int = 0
     #: invariant violations found by the runtime auditor (audited cells
     #: only; see repro.audit) and the number of checks it evaluated
     violations: int = 0
@@ -136,45 +124,12 @@ class CellReport:
     def label(self) -> str:
         return f"{self.program}/{self.lock_scheme}/{self.consistency}"
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of elementary references retired by the fast path."""
-        return self.fp_refs / self.total_refs if self.total_refs else 0.0
-
     def summary(self) -> str:
         verdict = "ok" if self.equal else "MISMATCH"
-        line = (
-            f"{self.label:28s} {verdict:8s} "
-            f"fp: {self.fp_windows:7d} windows, "
-            f"{self.fp_records:8d} records, "
-            f"{100.0 * self.coverage:5.1f}% of refs"
-        )
-        if self.kernel_segments:
-            line += (
-                f", kernel: {self.kernel_segments} segments, "
-                f"{self.kernel_records} records"
-            )
-        if self.spin_segments:
-            line += f", spin: {self.spin_segments} phases"
+        line = f"{self.label:28s} {verdict:8s} digest {self.digest[:12]}"
         if self.audit_checks:
             line += f", audit: {self.violations}/{self.audit_checks} checks failed"
         return line
-
-
-def _canonical(result) -> dict:
-    """The serialized result, through a JSON round-trip so comparison
-    happens on exactly what ``to_json`` would persist."""
-    return json.loads(json.dumps(result_to_dict(result), sort_keys=True))
-
-
-#: the configuration knobs a differential cell toggles between its fast
-#: and reference runs: the private-window interpreter fast path, the
-#: contended-path bus fast path, the columnar segment-retirement
-#: kernel, and the spin-phase collapse kernel.  The default varies all
-#: four together, so the fully-optimized simulator is checked against
-#: the fully-reference one (which subsumes each knob alone when the
-#: others are byte-neutral).
-VARY_ALL = ("fast_path", "bus_fast_path", "segment_kernel", "spin_kernel")
 
 
 def run_cell(
@@ -185,15 +140,13 @@ def run_cell(
     config: MachineConfig | None = None,
     engine_factory=None,
     audit: bool = False,
-    vary: tuple[str, ...] = VARY_ALL,
 ) -> CellReport:
-    """Run one traceset through both simulator paths and compare.
+    """Run one traceset with the bus fast path on and off and compare.
 
-    ``config`` (if given) supplies everything but the ``vary`` knobs
-    (default: ``fast_path`` and ``bus_fast_path``), which this function
-    overrides in both directions.  ``engine_factory`` is forwarded to
-    :class:`System` (e.g. ``HeapEngine`` to also cross-check the
-    event-queue implementation).
+    ``config`` (if given) supplies everything but ``bus_fast_path``,
+    which this function overrides in both directions.
+    ``engine_factory`` is forwarded to :class:`System` (e.g.
+    ``HeapEngine`` to also cross-check the event-queue implementation).
 
     With ``audit=True`` a collect-mode runtime invariant auditor (see
     :mod:`repro.audit`) rides along on the fast run only: the cell then
@@ -207,20 +160,14 @@ def run_cell(
     if base.audit:  # run_cell manages attachment itself
         base = replace(base, audit=False)
         audit = True
-    if not vary:
-        raise ValueError("vary must name at least one configuration knob")
     canon = {}
-    fp_stats = (0, 0, 0)
-    kernel_stats = (0, 0)
-    spin_segments = 0
-    total_refs = 0
     violations = 0
     audit_checks = 0
     digest = ""
     for fast in (True, False):
         system = System(
             traceset,
-            replace(base, **{knob: fast for knob in vary}),
+            replace(base, bus_fast_path=fast),
             get_lock_manager(lock_scheme),
             get_model(consistency),
             engine_factory=engine_factory,
@@ -229,8 +176,7 @@ def run_cell(
             from ..audit import SystemAuditor
 
             SystemAuditor.attach(system, mode="collect")
-        result = system.run()
-        body = result_to_json(result)
+        body = result_to_json(system.run())
         canon[fast] = json.loads(body)
         if fast:
             digest = hashlib.sha256(body.encode()).hexdigest()
@@ -238,18 +184,6 @@ def run_cell(
                 rep = system.audit.report
                 violations = len(rep.violations)
                 audit_checks = sum(rep.checks.values())
-            fp_stats = (
-                sum(p.fp_windows for p in system.procs),
-                sum(p.fp_records for p in system.procs),
-                sum(p.fp_refs for p in system.procs),
-            )
-            total_refs = sum(m.refs_processed for m in result.proc_metrics)
-            if system.kernel is not None:
-                kernel_stats = (
-                    system.kernel.segments,
-                    system.kernel.records,
-                )
-                spin_segments = getattr(system.kernel, "spin_segments", 0)
     equal = canon[True] == canon[False]
     return CellReport(
         program=program or traceset.program,
@@ -257,13 +191,6 @@ def run_cell(
         consistency=consistency,
         equal=equal,
         diffs=[] if equal else dict_diff(canon[False], canon[True]),
-        fp_windows=fp_stats[0],
-        fp_records=fp_stats[1],
-        fp_refs=fp_stats[2],
-        total_refs=total_refs,
-        kernel_segments=kernel_stats[0],
-        kernel_records=kernel_stats[1],
-        spin_segments=spin_segments,
         violations=violations,
         audit_checks=audit_checks,
         digest=digest,
@@ -278,7 +205,6 @@ def differential_check(
     seed: int = 1991,
     progress=None,
     audit: bool = False,
-    vary: tuple[str, ...] = VARY_ALL,
     trace_cache=None,
 ) -> list[CellReport]:
     """Differentially verify every (program, lock, model) cell.
@@ -306,7 +232,6 @@ def differential_check(
                     consistency=model,
                     program=program,
                     audit=audit,
-                    vary=vary,
                 )
                 reports.append(report)
                 if progress is not None:

@@ -88,6 +88,15 @@ def test_lock_zoo_fault_detected(name):
     )
 
 
+def test_double_grant_wraps_the_memory_kicks_too():
+    """The memory module kicks the bus through a bound method captured
+    when the System was built; the fault must re-point that reference,
+    or the kicks memory issues bypass the corrupted arbiter."""
+    system = _build("queuing")
+    inject(system, "double-grant")
+    assert system.memory._bus_kick is system.bus.kick
+
+
 def test_lost_backoff_wakeup_names_the_stranded_waiter():
     """The deadlock diagnostic beats the machine's bare RuntimeError:
     the violation says who is still waiting on which lock."""

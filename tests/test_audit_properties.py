@@ -3,7 +3,7 @@
 Random multi-processor lock/sharing programs (the same generator the
 trace substrate uses) are pushed through full simulations with the
 auditor attached.  Two properties must hold for *every* generated
-program, under both lock-scheme families and both interpreter engines:
+program, under both lock-scheme families and both bus paths:
 
 * the auditor finds nothing -- the simulator upholds its invariants on
   arbitrary programs, not just the six curated workloads;
@@ -31,7 +31,7 @@ pytestmark = pytest.mark.audit
 def _run(ts, lock_scheme, model, fast, audited):
     system = System(
         ts,
-        MachineConfig(n_procs=ts.n_procs, fast_path=fast, batch_records=4),
+        MachineConfig(n_procs=ts.n_procs, bus_fast_path=fast, batch_records=4),
         get_lock_manager(lock_scheme),
         get_model(model),
     )

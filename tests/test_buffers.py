@@ -123,4 +123,3 @@ class TestBusOp:
         assert o.supplier is None
         assert not o.cancelled
         assert not o.converted
-        assert o.issued_at == -1

@@ -6,10 +6,9 @@ dispatch loop and the fused completion executors -- must be a pure
 *speed* change: with ``MachineConfig.bus_fast_path`` off, the simulator
 byte-for-byte restores the committed-baseline behaviour, and the two
 modes must serialize identically.  ``tests/test_differential.py``
-enforces this at full scale with *both* fast paths varied together;
-this file isolates the bus knob (``vary=("bus_fast_path",)``) on the
-two most bus-bound programs at reduced scale, so a divergence in the
-contended path cannot hide behind the interpreter fast path.
+enforces this at full scale on the whole grid; this file runs the two
+most bus-bound programs at reduced scale, where every cell is cheap
+enough to also run under ``HeapEngine`` and the auditor.
 
 The audit cell additionally proves the bus fast path invariant-clean:
 the runtime auditor (busproto + accounting checkers) rides the fast
@@ -36,7 +35,6 @@ def test_bus_fast_path_byte_identical(program):
         programs=(program,),
         scale=SCALE,
         seed=1991,
-        vary=("bus_fast_path",),
     )
     assert len(reports) == len(LOCK_SCHEMES) * len(MODELS)
     bad = [r for r in reports if not r.equal]
@@ -56,7 +54,6 @@ def test_bus_fast_path_audit_clean():
         lock_scheme="queuing",
         consistency="sc",
         audit=True,
-        vary=("bus_fast_path",),
     )
     assert report.equal, "\n".join(report.diffs)
     assert report.violations == 0
@@ -73,6 +70,5 @@ def test_bus_fast_path_under_heap_engine():
         lock_scheme="ttas",
         consistency="wo",
         engine_factory=HeapEngine,
-        vary=("bus_fast_path",),
     )
     assert report.equal, "\n".join(report.diffs)

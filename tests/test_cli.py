@@ -166,16 +166,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "transfers" in out
 
-    def test_run_no_spin_kernel(self, capsys):
-        assert main(["--scale", "0.05", "run", "qsort", "--no-spin-kernel"]) == 0
-        assert "utilization" in capsys.readouterr().out
-
-    def test_run_profile_prints_diagnostics(self, capsys):
+    def test_run_profile_prints_stats(self, capsys):
         assert main(["--scale", "0.05", "run", "qsort", "--profile", "3"]) == 0
         out = capsys.readouterr().out
-        assert "diagnostics" in out
-        assert "kernel_attempts" in out
-        assert "spin_segments" in out
+        assert "utilization" in out
         assert "Ordered by: internal time" in out
 
     def test_predict_json_round_trips(self, capsys):

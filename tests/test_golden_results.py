@@ -7,9 +7,7 @@ paper's two lock schemes and both consistency models, so any change
 that alters simulated numbers anywhere in the machine fails here with a
 readable per-field diff -- event-order-preserving refactors (the only
 kind the optimization work is allowed to make) pass untouched.  A
-full-scale fixture (``topopt@1.json``) pins the cell with the strongest
-segment-kernel engagement, so the kernel's collapse/retire arithmetic
-is regression-pinned at real size, not just checked differentially; two
+full-scale fixture (``topopt@1.json``) pins one cell at real size; two
 lock-zoo fixtures (``qsort+mcs.json``, ``qsort+backoff.json``) pin the
 extension schemes' timing numerically.
 
@@ -45,9 +43,8 @@ def _audited(audit_everything):
     yield
 
 #: the pinned grid: every program once, the paper's two schemes and both
-#: models covered, plus one full-scale point (topopt/queuing/sc: the
-#: cell where the segment kernel collapses the most machine-quiet
-#: segments) and two lock-zoo cells on the most lock-bound program
+#: models covered, plus one full-scale point (topopt/queuing/sc, the
+#: program with the longest private phases) and two lock-zoo cells on the most lock-bound program
 #: (qsort under a queue-based and a spin-based extension scheme), so the
 #: extension managers' grant/hand-off arithmetic is pinned numerically,
 #: not just checked differentially

@@ -120,6 +120,40 @@ class TestMachineConfigSerialization:
         )
         assert MachineConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_retired_knobs_accept_only_false(self):
+        """``fast_path``, ``segment_kernel`` and ``spin_kernel`` named the
+        removed window fast path and collapse kernels: ``False`` (the
+        per-record interpreter, now the only one) is accepted and stored
+        nowhere; anything else fails loudly."""
+        assert MachineConfig(
+            fast_path=False,
+            bus_fast_path=False,
+            segment_kernel=False,
+            spin_kernel=False,
+        ) == MachineConfig(bus_fast_path=False)
+        for name in ("fast_path", "segment_kernel", "spin_kernel"):
+            with pytest.raises(ValueError, match=name):
+                MachineConfig(**{name: True})
+        assert not {"fast_path", "segment_kernel", "spin_kernel"} & set(
+            MachineConfig().to_dict()
+        )
+
+    def test_descriptions_naming_retired_knobs_still_load(self):
+        old = MachineConfig().to_dict()
+        old.update(fast_path=True, segment_kernel=True, spin_kernel=True)
+        assert MachineConfig.from_dict(old) == MachineConfig()
+
+    def test_grid_spec_cache_key_unchanged(self):
+        """Grid specs carry no machine description, so the retired knobs
+        leaving ``MachineConfig.to_dict`` keeps their stored results
+        addressable."""
+        from repro.service import grid_specs
+
+        (spec,) = grid_specs(("grav",), ("queuing",), ("sc",), scale=0.05, seed=1991)
+        assert spec.cache_key() == (
+            "547354ce9ef324d30abd700474d9bcf068aade235ac431012f286a0a2718d9b2"
+        )
+
     def test_none_tolerant_wrappers(self):
         assert machine_to_dict(None) is None
         assert machine_from_dict(None) is None

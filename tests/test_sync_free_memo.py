@@ -30,10 +30,8 @@ from .conftest import make_traceset
 
 MODELS = ("sc", "wo")
 SCHEMES = sorted(LOCK_SCHEMES)
-#: the reference configuration: every fast path off
-ALL_OFF = MachineConfig(
-    fast_path=False, bus_fast_path=False, segment_kernel=False, spin_kernel=False
-)
+#: the reference configuration: the bus fast path off
+ALL_OFF = MachineConfig(bus_fast_path=False)
 #: Topopt tracesets named by provenance: (scale, seed)
 TOPOPT = [(0.05, 1991), (0.05, 7), (0.25, 1991), (0.25, 7)]
 
@@ -129,8 +127,8 @@ class TestCertificate:
 
         class Tripwire(LockManager):
             name = "tripwire"
-            acquire = release = supplier_for_line = spin_wakeup = trip
-            on_lock_rfo = on_lock_inval = state_of = _timed_call = trip
+            acquire = release = supplier_for_line = trip
+            on_lock_rfo = on_lock_inval = state_of = trip
 
         for _, ts in tracesets:
             machine = MachineConfig(n_procs=ts.n_procs)
