@@ -16,8 +16,10 @@ Within a round, consecutive cells alternate which side runs first.
 The tool stops without printing a ratio if any cell's result digest
 (SHA-256 of its canonical ``result_to_dict`` JSON) differs between the
 two sides.  Otherwise it prints B/A of the summed simulation CPU per
-round and per program.  Running a tree against itself (an A/A run)
-shows how far apart two identical sides read on the host.
+round and per program, and next to it each side's engine events and
+bus grants per program (one round's worth), with the number of cells
+whose counts differ between the sides.  Running a tree against itself
+(an A/A run) shows how far apart two identical sides read on the host.
 """
 
 from __future__ import annotations
@@ -48,8 +50,20 @@ def _worker(src: str, scale: float, seed: int, cpu: int) -> int:
     if Path(repro.__file__).resolve().parent != package:
         print(f"imported repro from {repro.__file__}, not {package}", file=sys.stderr)
         return 2
+    from repro.machine.engine import Engine
     from repro.runner import JobSpec, result_to_dict
     from repro.workloads import generate_trace
+
+    # A tree whose results predate RunResult.diagnostics["engine_events"]
+    # is counted where the events are dispatched.
+    dispatched = [0]
+    engine_run = Engine.run
+
+    def counted_run(self, *args, **kwargs):
+        dispatched[0] = engine_run(self, *args, **kwargs)
+        return dispatched[0]
+
+    Engine.run = counted_run
 
     traces = {p: generate_trace(p, scale=scale, seed=seed) for p in PROGRAMS}
     specs = [
@@ -75,7 +89,10 @@ def _worker(src: str, scale: float, seed: int, cpu: int) -> int:
             result_to_dict(result), sort_keys=True, separators=(",", ":")
         )
         digest = hashlib.sha256(canon.encode()).hexdigest()
-        print(json.dumps({"cpu_s": cpu_s, "digest": digest}), flush=True)
+        events = result.diagnostics.get("engine_events", dispatched[0])
+        grants = result.meta["bus_grants"]
+        reply = {"cpu_s": cpu_s, "digest": digest, "events": events, "grants": grants}
+        print(json.dumps(reply), flush=True)
     return 0
 
 
@@ -128,6 +145,7 @@ def main(argv=None) -> int:
     workers = {"A": _start(args.a_src, args, cpu), "B": _start(args.b_src, args, cpu)}
     n = len(CELLS)
     cpu_s = {side: [[0.0] * n for _ in range(args.rounds)] for side in workers}
+    counts = {side: [None] * n for side in workers}  # (events, grants) per cell
     try:
         for side, proc in workers.items():
             print(f"{side}: {_read(proc, side)['ready']}", flush=True)
@@ -142,6 +160,7 @@ def main(argv=None) -> int:
                     reply = _read(proc, side)
                     cpu_s[side][r][i] = reply["cpu_s"]
                     digests[side] = reply["digest"]
+                    counts[side][i] = (reply["events"], reply["grants"])
                 if digests["A"] != digests["B"]:
                     label = "/".join(CELLS[i])
                     print(f"result digests differ on {label}: {digests}", file=sys.stderr)
@@ -153,12 +172,22 @@ def main(argv=None) -> int:
             proc.stdin.close()
             proc.wait(timeout=60)
 
-    print(f"\n{'program':<10} {'A_s':>9} {'B_s':>9} {'B/A':>7}")
+    print(
+        f"\n{'program':<10} {'A_s':>9} {'B_s':>9} {'B/A':>7}"
+        f" {'A_events':>10} {'B_events':>10} {'A_grants':>9} {'B_grants':>9}"
+    )
     for prog in PROGRAMS + ("total",):
         idx = [i for i, c in enumerate(CELLS) if prog in (c[0], "total")]
         a = sum(cpu_s["A"][r][i] for r in range(args.rounds) for i in idx)
         b = sum(cpu_s["B"][r][i] for r in range(args.rounds) for i in idx)
-        print(f"{prog:<10} {a:>9.3f} {b:>9.3f} {b / a:>7.4f}")
+        ev = {side: sum(counts[side][i][0] for i in idx) for side in workers}
+        gr = {side: sum(counts[side][i][1] for i in idx) for side in workers}
+        print(
+            f"{prog:<10} {a:>9.3f} {b:>9.3f} {b / a:>7.4f}"
+            f" {ev['A']:>10} {ev['B']:>10} {gr['A']:>9} {gr['B']:>9}"
+        )
+    differ = sum(counts["A"][i] != counts["B"][i] for i in range(n))
+    print(f"cells whose engine events or bus grants differ: {differ} of {n}")
     return 0
 
 

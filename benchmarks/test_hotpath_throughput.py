@@ -26,12 +26,19 @@ canonical baseline; the run's report is written to the scratch file
 mode fails if the scratch report's structure has drifted from the
 committed baseline (a reminder to re-sync it).
 
+The lock cells are paired too: each run of a scheme's qsort cell sits
+between two runs of a lock-free yardstick (topopt, whose trace holds no
+sync record), and the median of the cell's time over the mean of its
+two brackets is the gated number.  An unpaired refs/sec reading moves
+with the machine window it was taken in; the ratio largely does not.
+
 Perf smoke: when ``REPRO_PERF_ENFORCE`` is set (the CI perf-smoke job
 does this), the test fails if the bus fast path is more than 25%
 *slower* than its reference mode on its own home turf, if the bus
 cells' paired speedup regresses more than 25% below the baseline's
-recorded speedup, if a lock cell's refs/sec regresses more than 25%
-below the committed baseline, or if the auditor costs more than 2x.
+recorded speedup, if a lock cell's time ratio to its yardstick rises
+more than 25% above the committed ratio, or if the auditor costs more
+than 2x.
 Regenerate the root baseline on a quiet machine with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_hotpath_throughput.py -q
@@ -165,19 +172,32 @@ def _measure_bus_cell(program: str, baseline: dict | None):
 #: LOCK_SCHEMES), full production configuration.  Watches for a manager
 #: whose per-grant bookkeeping quietly turns contended cells quadratic.
 LOCK_SWEEP_PROGRAM = "qsort"
+#: the lock cells' yardstick: a program whose trace holds no sync record,
+#: so no lock manager ever runs in it.  Each lock cell run is bracketed
+#: by two yardstick runs, and the gate reads the cell's time over the
+#: mean of its two brackets, which cancels the speed of the machine
+#: window the three ran in.
+LOCK_YARDSTICK_PROGRAM = "topopt"
+#: bracketed runs per lock cell (odd: the gate reads their median)
+LOCK_RUNS = 5
 
 
 def _measure_lock_cells():
-    """The lock-zoo sweep; every cell carries ``refs_per_sec`` for the
-    no-regression check."""
+    """The lock-zoo sweep; every cell carries ``time_ratio`` (the median,
+    over ``LOCK_RUNS`` runs, of the cell's time over the mean time of the
+    yardstick runs just before and just after it) for the no-regression
+    check, and ``refs_per_sec`` of its best run for the report."""
     from repro.sync import get_lock_manager
     from repro.testing import LOCK_SCHEMES
+    from repro.trace import sync_free
 
     ts = generate_trace(LOCK_SWEEP_PROGRAM, scale=1.0, seed=1991)
+    yard = generate_trace(LOCK_YARDSTICK_PROGRAM, scale=1.0, seed=1991)
+    assert sync_free(yard), "the yardstick must run no lock manager"
 
-    def run(scheme: str):
-        cfg = MachineConfig(n_procs=ts.n_procs)
-        system = System(ts, cfg, get_lock_manager(scheme), SEQUENTIAL)
+    def run(traceset, scheme: str):
+        cfg = MachineConfig(n_procs=traceset.n_procs)
+        system = System(traceset, cfg, get_lock_manager(scheme), SEQUENTIAL)
         gc.collect()
         t0 = time.process_time()
         result = system.run()
@@ -185,15 +205,20 @@ def _measure_lock_cells():
 
     cells = {}
     for scheme in LOCK_SCHEMES:
-        run(scheme)  # warm
-        best, result = 9e9, None
-        for _ in range(3):
-            seconds, r = run(scheme)
+        run(ts, scheme)  # warm
+        before = run(yard, scheme)[0]
+        best, result, ratios = 9e9, None, []
+        for _ in range(LOCK_RUNS):
+            seconds, r = run(ts, scheme)
+            after = run(yard, scheme)[0]
+            ratios.append(seconds / ((before + after) / 2))
+            before = after
             if seconds < best:
                 best, result = seconds, r
         refs = sum(m.refs_processed for m in result.proc_metrics)
         cells[scheme] = {
             "seconds": round(best, 4),
+            "time_ratio": round(sorted(ratios)[LOCK_RUNS // 2], 3),
             "refs_per_sec": round(refs / best),
             "transfers": result.lock_stats.transfers,
         }
@@ -232,7 +257,9 @@ def test_hotpath_throughput():
             "cell times the same run with the invariant auditor attached "
             "(raise mode), best of 3; lock cells time the qsort (SC, "
             "scale 1.0) cell under every scheme on the differential "
-            "grid's lock axis, best of 3"
+            f"grid's lock axis, {LOCK_RUNS} runs each bracketed by runs "
+            "of the lock-free topopt yardstick, gating the median ratio of "
+            "a run's time to its brackets' mean"
         ),
         "suite": {p: _measure_suite_cell(p) for p in BENCHMARK_ORDER},
         "bus": {p: _measure_bus_cell(p, baseline) for p in BUS_CELLS},
@@ -274,15 +301,17 @@ def test_hotpath_throughput():
                         f"is >{TOLERANCE:.0%} below the committed baseline "
                         f"{base}x"
                     )
-        # ...no lock scheme may regress on the contended sweep cell
+        # ...no lock scheme may regress on the contended sweep cell,
+        # measured against the lock-free yardstick timed beside it
         for scheme, cell in report["locks"].items():
             base_cell = baseline.get("locks", {}).get(scheme)
             if base_cell is not None:
-                base = base_cell["refs_per_sec"]
-                if cell["refs_per_sec"] < base * (1 - TOLERANCE):
+                base = base_cell["time_ratio"]
+                if cell["time_ratio"] > base * (1 + TOLERANCE):
                     problems.append(
-                        f"locks/{scheme}: {cell['refs_per_sec']} refs/sec is "
-                        f">{TOLERANCE:.0%} below the committed baseline {base}"
+                        f"locks/{scheme}: {cell['time_ratio']}x the "
+                        f"{LOCK_YARDSTICK_PROGRAM} yardstick's time is "
+                        f">{TOLERANCE:.0%} above the committed baseline {base}x"
                     )
         # canonical-baseline sync check: the committed file must carry the
         # same sections/cells this benchmark produces (one canonical file;

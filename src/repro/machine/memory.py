@@ -32,6 +32,9 @@ class Memory:
     ) -> None:
         self.engine = engine
         self.config = config
+        self._in_cap = config.input_buffer
+        self._out_cap = config.output_buffer
+        self._access = config.access_cycles
         self._in: deque[BusOp] = deque()
         self._reserved = 0  # slots promised at bus-grant time but not yet arrived
         self._out: deque[BusOp] = deque()
@@ -45,6 +48,14 @@ class Memory:
         self._fast = fast_path
         self._servicing: BusOp | None = None
         self._done_cb = self._slot_done
+        # fast path: the granted request whose address phase is on the
+        # bus (single slot: one transaction on the bus at a time), and
+        # its arrival as one preallocated bound method
+        self._arriving: BusOp | None = None
+        self._arrive_cb = self._slot_arrive
+        #: fast path: a granted data return no one references any more,
+        #: reused by the next read's reply (see System._fexec_data_return)
+        self._free_return: BusOp | None = None
         # inline engine scheduling (bucket append without the ``at``
         # call) is only exact against the production Engine's internals
         self._sched_inline = fast_path and type(engine) is Engine
@@ -57,12 +68,12 @@ class Memory:
     def can_accept(self) -> bool:
         """Is there input-buffer space for one more request?  Checked by
         the arbiter before granting a memory-bound operation."""
-        return len(self._in) + self._reserved < self.config.input_buffer
+        return len(self._in) + self._reserved < self._in_cap
 
     def reserve(self) -> None:
         """Claim an input slot at bus-grant time (the request is still in
         flight on the bus)."""
-        if not self.can_accept():
+        if len(self._in) + self._reserved >= self._in_cap:  # not can_accept()
             raise RuntimeError("memory input buffer over-committed")
         self._reserved += 1
 
@@ -74,21 +85,29 @@ class Memory:
         self._in.append(op)
         self._maybe_start(time)
 
+    def _slot_arrive(self, time: int) -> None:
+        """Fast path: :meth:`arrive` for the request in the arriving slot."""
+        if self._reserved <= 0:
+            raise RuntimeError("arrival without reservation")
+        self._reserved -= 1
+        self._in.append(self._arriving)
+        self._maybe_start(time)
+
     # -- service --------------------------------------------------------------
     def _maybe_start(self, time: int) -> None:
         if self._busy or not self._in:
             return
         # A read needs an output slot; don't start one we cannot finish.
         head = self._in[0]
-        if head.kind not in _WRITE_KINDS and len(self._out) >= self.config.output_buffer:
+        if head.kind not in _WRITE_KINDS and len(self._out) >= self._out_cap:
             # Writes produce no reply and may always start.
             return
         op = self._in.popleft()
         self._busy = True
-        self.busy_cycles += self.config.access_cycles
+        self.busy_cycles += self._access
         if self._fast:
             self._servicing = op
-            t = time + self.config.access_cycles
+            t = time + self._access
             eng = self.engine
             if self._sched_inline and type(t) is int and t >= eng.now:
                 # inlined Engine.at (the guard re-proves its checks)
@@ -123,7 +142,13 @@ class Memory:
             self.writes_serviced += 1
         else:
             self.reads_serviced += 1
-            ret = BusOp(DATA_RETURN, op.line, op.proc)
+            ret = self._free_return
+            if ret is None:
+                ret = BusOp(DATA_RETURN, op.line, op.proc)
+            else:
+                self._free_return = None
+                ret.line = op.line
+                ret.proc = op.proc
             ret.orig = op
             self._out.append(ret)
             cb = self.port.ready_cb

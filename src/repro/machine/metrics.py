@@ -114,7 +114,8 @@ class RunResult:
     #: run introspection that must never feed a table, a golden file or
     #: a differential comparison: excluded from equality and from
     #: serialization (repro.runner.serialize).  The simulator records
-    #: nothing here today; tracing tools read the field on every run.
+    #: ``engine_events``, the run's dispatched engine event count;
+    #: tracing tools read the field on every run.
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     # -- Table 3/5/7 columns ----------------------------------------------------

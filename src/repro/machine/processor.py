@@ -34,8 +34,7 @@ from .metrics import ProcMetrics
 
 __all__ = ["Processor"]
 
-_WORD_SHIFT = 2  # REP_STRIDE == 4-byte elements
-_INSTR_BYTES = 4
+_WORD_SHIFT = 2  # REP_STRIDE == 4-byte elements, and 4-byte instructions
 
 # Per-trace interpreter tables, memoized across System instances: the
 # ``.tolist()`` record columns are pure functions of the (immutable)
@@ -77,6 +76,51 @@ _DONE = 5
 
 class Processor:
     """One simulated CPU: trace cursor, local clock, stall state."""
+
+    # Slots, not an instance dict: past about 30 attributes CPython stops
+    # sharing one key table among a class's instance dicts, and every
+    # attribute access on the hot path gets slower (measured on the
+    # paper grid: this class and System together, about 5 percent).
+    __slots__ = (
+        "_addr",
+        "_arg",
+        "batch",
+        "_bypass_reads",
+        "cache",
+        "_cycles",
+        "done",
+        "_engine",
+        "_free_read",
+        "_free_upgrade",
+        "_hot",
+        "idx",
+        "_issue_append",
+        "_issue_cb",
+        "_kind",
+        "_line_shift",
+        "metrics",
+        "model",
+        "_n",
+        "outstanding",
+        "outstanding_wb",
+        "pending_upgrades",
+        "pending_writes",
+        "pos",
+        "_post_drain",
+        "proc",
+        "_run_cb",
+        "_sched_inline",
+        "_stall_on_upgrade",
+        "_stall_on_write_miss",
+        "_stall_start",
+        "state",
+        "system",
+        "time",
+        "_wait_op",
+        "_words_per_line",
+        "_write_update",
+        "_writethrough",
+    )
 
     def __init__(
         self,
@@ -126,6 +170,7 @@ class Processor:
             cache._set_mask,
             cache.assoc,
             bus_fast_path,
+            system.buffers[proc],
         )
         #: preallocated resume callback: the interpreter re-enters through
         #: the engine tens of thousands of times per run, and scheduling a
@@ -136,6 +181,18 @@ class Processor:
         # production Engine's internals
         self._sched_inline = bus_fast_path and type(system.engine) is Engine
         self._engine = system.engine
+        # fast path: this processor's issue queue (append) and push
+        # trampoline, bound by the system once both exist
+        self._issue_append = None
+        self._issue_cb = None
+        self._bypass_reads = model.bypass_reads
+        self._stall_on_upgrade = model.stall_on_upgrade
+        self._stall_on_write_miss = model.stall_on_write_miss
+        #: fast path: a finished read miss no one references any more,
+        #: reused by this processor's next read miss
+        self._free_read: BusOp | None = None
+        #: fast path: the same for a finished stalling upgrade
+        self._free_upgrade: BusOp | None = None
 
         self.time = 0
         self.idx = 0
@@ -149,7 +206,6 @@ class Processor:
         self.outstanding_wb = 0
         self._stall_start = 0
         self._wait_op: BusOp | None = None
-        self._draining = False
         self._post_drain: tuple | None = None
         # weak ordering: lines with a buffered (non-stalling) RFO in flight
         self.pending_writes: dict[int, BusOp] = {}
@@ -186,141 +242,144 @@ class Processor:
             set_mask,
             assoc,
             ilk,  # contended-path fast path: inline the cache lookup
+            buf,
         ) = self._hot
         budget = self.batch
         self.state = _RUNNING
+        # the record cursor lives in ``i`` while the loop runs; every exit
+        # stores it back to ``self.idx`` (nothing the loop calls reads it)
+        i = self.idx
 
         while True:
             if budget <= 0:
+                self.idx = i
                 self.system.engine.at(self.time, self._run_cb)
                 return
             budget -= 1
-            i = self.idx
             if i >= n:
+                self.idx = i
                 self._finish(self.time)
                 return
 
             k = kinds[i]
 
             if k == IBLOCK:
-                base = addrs[i]
                 n_i = args[i]
                 pos = self.pos
-                blocked = False
-                while pos < n_i:
-                    byte = base + _INSTR_BYTES * pos
-                    line = byte >> line_shift
-                    word = (byte >> _WORD_SHIFT) & (wpl - 1)
-                    chunk = n_i - pos
-                    room = wpl - word
-                    if chunk > room:
-                        chunk = room
-                    # inlined cache.lookup: probe + MRU refresh (the
-                    # method call itself is measurable at this rate).
-                    # ``st`` is None on a miss, which tests like INVALID.
-                    if ilk:
-                        st = sget(line)
-                        if st is not None:
-                            base_w = (line & set_mask) * assoc
-                            if ways[base_w] != line:
-                                if assoc == 2:
-                                    ways[base_w + 1] = ways[base_w]
-                                    ways[base_w] = line
-                                else:
-                                    w = base_w + 1
-                                    while ways[w] != line:
-                                        w += 1
-                                    while w > base_w:
-                                        ways[w] = ways[w - 1]
-                                        w -= 1
-                                    ways[base_w] = line
-                    else:
-                        st = cache.lookup(line)
-                    if st:
-                        ctr.ifetch_hits += chunk
-                        pos += chunk
-                    else:
-                        ctr.ifetch_misses += 1
-                        ctr.ifetch_hits += chunk - 1
-                        met.refs_processed += chunk
-                        self.pos = pos + chunk
-                        self._block_on_read_miss(line, ifetch=True)
-                        blocked = True
-                        break
-                    met.refs_processed += chunk
-                if blocked:
-                    return
+                if pos < n_i:
+                    # Walk the record's lines, first to last: refs step
+                    # one word, so a chunk is the record's share of one
+                    # line, and where a chunk ends is known from its line
+                    # alone.  Hits are counted once, when the walk ends.
+                    base = addrs[i]
+                    line = (base + (pos << _WORD_SHIFT)) >> line_shift
+                    last = (base + ((n_i - 1) << _WORD_SHIFT)) >> line_shift
+                    while True:
+                        # inlined cache.lookup: probe + MRU refresh (the
+                        # method call itself is measurable at this rate).
+                        # ``st`` is None on a miss, which tests like INVALID.
+                        if ilk:
+                            st = sget(line)
+                            if st is not None:
+                                base_w = (line & set_mask) * assoc
+                                if ways[base_w] != line:
+                                    if assoc == 2:
+                                        ways[base_w + 1] = ways[base_w]
+                                        ways[base_w] = line
+                                    else:
+                                        w = base_w + 1
+                                        while ways[w] != line:
+                                            w += 1
+                                        while w > base_w:
+                                            ways[w] = ways[w - 1]
+                                            w -= 1
+                                        ways[base_w] = line
+                        else:
+                            st = cache.lookup(line)
+                        if not st:
+                            # the chunk ends at the next line's first word
+                            end = (line + 1) * wpl - (base >> _WORD_SHIFT)
+                            if end > n_i:
+                                end = n_i
+                            ctr.ifetch_misses += 1
+                            ctr.ifetch_hits += end - pos - 1
+                            met.refs_processed += end - pos
+                            self.pos = end
+                            self.idx = i
+                            self._block_on_read_miss(line, True)
+                            return
+                        if line == last:
+                            break
+                        line += 1
+                    ctr.ifetch_hits += n_i - pos
+                    met.refs_processed += n_i - pos
                 self.pos = 0
                 c = cycs[i]
                 self.time += c
                 met.work_cycles += c
-                self.idx = i + 1
+                i += 1
 
             elif k == READ:
-                base = addrs[i]
                 reps = args[i]
                 pos = self.pos
-                blocked = False
-                while pos < reps:
-                    byte = base + (pos << _WORD_SHIFT)
-                    line = byte >> line_shift
-                    word = (byte >> _WORD_SHIFT) & (wpl - 1)
-                    chunk = reps - pos
-                    room = wpl - word
-                    if chunk > room:
-                        chunk = room
-                    # inlined cache.lookup (see the IBLOCK handler)
-                    if ilk:
-                        st = sget(line)
-                        if st is not None:
-                            base_w = (line & set_mask) * assoc
-                            if ways[base_w] != line:
-                                if assoc == 2:
-                                    ways[base_w + 1] = ways[base_w]
-                                    ways[base_w] = line
-                                else:
-                                    w = base_w + 1
-                                    while ways[w] != line:
-                                        w += 1
-                                    while w > base_w:
-                                        ways[w] = ways[w - 1]
-                                        w -= 1
-                                    ways[base_w] = line
-                    else:
-                        st = cache.lookup(line)
-                    if st:
-                        ctr.read_hits += chunk
-                        pos += chunk
-                        met.refs_processed += chunk
-                        continue
-                    # A weakly-ordered read of a line whose write miss is
-                    # still buffered must wait for its own store's data.
-                    wop = self.pending_writes.get(line)
-                    if wop is not None:
-                        ctr.read_hits += chunk
-                        met.refs_processed += chunk
-                        self.pos = pos + chunk
-                        self._block_on_op(wop)
-                        blocked = True
-                        break
-                    # Buffer hit: our own evicted dirty copy is still
-                    # queued for write-back; reclaim it.
-                    if self._reclaim_from_buffer(line):
-                        ctr.read_hits += chunk
-                        met.refs_processed += chunk
-                        pos += chunk
-                        continue
-                    ctr.read_misses += 1
-                    ctr.read_hits += chunk - 1
-                    met.refs_processed += chunk
-                    self.pos = pos + chunk
-                    self._block_on_read_miss(line, ifetch=False)
-                    blocked = True
-                    break
-                if blocked:
-                    return
+                if pos < reps:
+                    # the IBLOCK handler's line walk
+                    base = addrs[i]
+                    line = (base + (pos << _WORD_SHIFT)) >> line_shift
+                    last = (base + ((reps - 1) << _WORD_SHIFT)) >> line_shift
+                    while True:
+                        # inlined cache.lookup (see the IBLOCK handler)
+                        if ilk:
+                            st = sget(line)
+                            if st is not None:
+                                base_w = (line & set_mask) * assoc
+                                if ways[base_w] != line:
+                                    if assoc == 2:
+                                        ways[base_w + 1] = ways[base_w]
+                                        ways[base_w] = line
+                                    else:
+                                        w = base_w + 1
+                                        while ways[w] != line:
+                                            w += 1
+                                        while w > base_w:
+                                            ways[w] = ways[w - 1]
+                                            w -= 1
+                                        ways[base_w] = line
+                        else:
+                            st = cache.lookup(line)
+                        if not st:
+                            end = (line + 1) * wpl - (base >> _WORD_SHIFT)
+                            if end > reps:
+                                end = reps
+                            # A weakly-ordered read of a line whose write
+                            # miss is still buffered must wait for its own
+                            # store's data.
+                            pw = self.pending_writes
+                            wop = pw.get(line) if pw else None
+                            if wop is not None:
+                                ctr.read_hits += end - pos
+                                met.refs_processed += end - pos
+                                self.pos = end
+                                self.idx = i
+                                self._block_on_op(wop)
+                                return
+                            # Buffer hit: our own evicted dirty copy is
+                            # still queued for write-back; reclaim it.
+                            if not (buf.wb_count and self._reclaim_from_buffer(line)):
+                                ctr.read_misses += 1
+                                ctr.read_hits += end - pos - 1
+                                met.refs_processed += end - pos
+                                self.pos = end
+                                self.idx = i
+                                self._block_on_read_miss(line, False)
+                                return
+                        if line == last:
+                            break
+                        line += 1
+                    ctr.read_hits += reps - pos
+                    met.refs_processed += reps - pos
                 self.pos = 0
-                self.idx = i + 1
+                i += 1
 
             elif k == WRITE:
                 base = addrs[i]
@@ -368,7 +427,7 @@ class Processor:
                         met.refs_processed += chunk
                         self.pos = pos + chunk
                         wt = BusOp(WRITETHROUGH, line, self.proc)
-                        if self.model.stall_on_write_miss:
+                        if self._stall_on_write_miss:
                             self._stall_on_op(wt)
                             blocked = True
                             break
@@ -424,7 +483,7 @@ class Processor:
                         if self._write_update:
                             # write-update protocol: broadcast the words;
                             # the line stays SHARED in every cache
-                            if self.model.stall_on_upgrade:
+                            if self._stall_on_upgrade:
                                 ctr.write_hits += chunk
                                 met.refs_processed += chunk
                                 self.pos = pos + chunk
@@ -449,11 +508,18 @@ class Processor:
                             pos += chunk
                             met.refs_processed += chunk
                             continue
-                        if self.model.stall_on_upgrade:
+                        if self._stall_on_upgrade:
                             ctr.write_hits += chunk
                             met.refs_processed += chunk
                             self.pos = pos + chunk
-                            self._stall_on_op(BusOp(UPGRADE, line, self.proc))
+                            up = self._free_upgrade
+                            if up is None:
+                                up = BusOp(UPGRADE, line, self.proc)
+                            else:  # reuse (see System._complete_op)
+                                self._free_upgrade = None
+                                up.line = line
+                                up.supplier = None
+                            self._stall_on_op(up)
                             blocked = True
                             break
                         if not self.system.buffers[self.proc].has_space():
@@ -470,19 +536,19 @@ class Processor:
                         pos += chunk
                         continue
                     # miss
-                    wop = self.pending_writes.get(line)
-                    if wop is not None:
+                    pw = self.pending_writes
+                    if pw and pw.get(line) is not None:
                         # write to a line whose RFO is already in flight
                         ctr.write_hits += chunk
                         pos += chunk
                         met.refs_processed += chunk
                         continue
-                    if self._reclaim_from_buffer(line):
+                    if buf.wb_count and self._reclaim_from_buffer(line):
                         ctr.write_hits += chunk
                         met.refs_processed += chunk
                         pos += chunk
                         continue
-                    if self.model.stall_on_write_miss:
+                    if self._stall_on_write_miss:
                         ctr.write_misses += 1
                         ctr.write_hits += chunk - 1
                         met.refs_processed += chunk
@@ -508,9 +574,10 @@ class Processor:
                     pos += chunk
                     continue
                 if blocked:
+                    self.idx = i
                     return
                 self.pos = 0
-                self.idx = i + 1
+                i += 1
 
             elif k == LOCK or k == UNLOCK:
                 # Re-enter through the engine so the lock manager runs with
@@ -552,12 +619,41 @@ class Processor:
         return True
 
     def _block_on_read_miss(self, line: int, ifetch: bool) -> None:
-        op = BusOp(READ_MISS, line, self.proc, None, ifetch)
+        op = self._free_read
+        if op is None:
+            op = BusOp(READ_MISS, line, self.proc, None, ifetch)
+        else:  # reuse this processor's last read miss (see System._complete_fill)
+            self._free_read = None
+            op.line = line
+            op.ifetch = ifetch
+            op.supplier = None
+            op.fill_state = 0
+            op.return_cycles = 0
         self.state = _WAIT_MISS
-        self._stall_start = self.time
+        t = self.time
+        self._stall_start = t
         self._wait_op = op
         self.outstanding += 1
-        self.system.issue_from_proc(op, self.time, self.model.bypass_reads)
+        if not self._sched_inline:
+            self.system.issue_from_proc(op, t, self._bypass_reads)
+            return
+        # the fast issue_from_proc, inlined: queue the entry and schedule
+        # this processor's push trampoline at max(local, now)
+        eng = self._engine
+        if t < eng.now:
+            t = eng.now
+        self._issue_append((op, self._bypass_reads))
+        if type(t) is int:
+            buckets = eng._buckets
+            b = buckets.get(t)
+            if b is None:
+                buckets[t] = [self._issue_cb]
+                _heappush(eng._times, t)
+            else:
+                b.append(self._issue_cb)
+            eng._pending += 1
+        else:
+            eng.at(t, self._issue_cb)
 
     def _block_on_op(self, op: BusOp) -> None:
         """Stall until an already-issued operation (e.g. our own buffered
@@ -608,7 +704,6 @@ class Processor:
             self.metrics.drains += 1
             if self.outstanding > 0:
                 self.metrics.drains_nonempty += 1
-                self._draining = True
                 self._stall_start = self.time
                 self.state = _WAIT_DRAIN
                 self._post_drain = (kind, ident, lock_addr)
@@ -654,36 +749,40 @@ class Processor:
             self.pending_upgrades.discard(op.line)
 
         if self.state == _WAIT_MISS and self._wait_op is op:
-            # The waited-on op may have been issued before the stall began
-            # (a pending write the processor later blocked on), so it can
-            # complete before the run-ahead local clock: no stall at all.
-            if t > self._stall_start:
-                self.metrics.stall_miss += t - self._stall_start
-            self._wait_op = None
-            t2 = self.time
-            if t > t2:
-                t2 = self.time = t
-            self.state = _RUNNING
-            eng = self._engine
-            if self._sched_inline and type(t2) is int:
-                # inlined Engine.at: t2 = max(local, t) >= t = now
-                buckets = eng._buckets
-                b = buckets.get(t2)
-                if b is None:
-                    buckets[t2] = [self._run_cb]
-                    _heappush(eng._times, t2)
-                else:
-                    b.append(self._run_cb)
-                eng._pending += 1
-            else:
-                eng.at(t2, self._run_cb)
+            self._miss_done(t)
         elif self.state == _WAIT_DRAIN and self.outstanding == 0:
             if t > self._stall_start:
                 self.metrics.stall_drain += t - self._stall_start
-            self._draining = False
             self.time = max(self.time, t)
             kind, ident, lock_addr = self._post_drain
             self._sync_action(kind, ident, lock_addr)
+
+    def _miss_done(self, t: int) -> None:
+        """The op this processor stalls on completed at ``t``: charge the
+        stall, catch the local clock up and schedule the resume."""
+        # The waited-on op may have been issued before the stall began
+        # (a pending write the processor later blocked on), so it can
+        # complete before the run-ahead local clock: no stall at all.
+        if t > self._stall_start:
+            self.metrics.stall_miss += t - self._stall_start
+        self._wait_op = None
+        t2 = self.time
+        if t > t2:
+            t2 = self.time = t
+        self.state = _RUNNING
+        eng = self._engine
+        if self._sched_inline and type(t2) is int:
+            # inlined Engine.at: t2 = max(local, t) >= t = now
+            buckets = eng._buckets
+            b = buckets.get(t2)
+            if b is None:
+                buckets[t2] = [self._run_cb]
+                _heappush(eng._times, t2)
+            else:
+                b.append(self._run_cb)
+            eng._pending += 1
+        else:
+            eng.at(t2, self._run_cb)
 
     def install_fill(self, op: BusOp, t: int) -> None:
         """A READ_MISS/RFO (or converted UPGRADE) fetched its line."""

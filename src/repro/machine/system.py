@@ -47,13 +47,59 @@ from .config import MachineConfig
 from .engine import Engine
 from .memory import Memory
 from .metrics import RunResult
-from .processor import Processor
+from .processor import _WAIT_MISS, Processor
 
 __all__ = ["System", "simulate"]
 
 
 class System:
     """One complete simulation instance (single use: build, run, read)."""
+
+    # Slots for the hot attributes (see Processor.__slots__).  The
+    # instance dict stays for the methods shadowed per instance: the fast
+    # bundle's ``execute`` and ``issue_from_proc``, and whatever tests and
+    # the fault registry wrap (``execute``, ``on_proc_done``).
+    __slots__ = (
+        "_addr_cycles",
+        "audit",
+        "barriers",
+        "buffers",
+        "bus",
+        "_cache_supplier",
+        "caches",
+        "_cb_fill",
+        "config",
+        "directory",
+        "_done_count",
+        "_done_op",
+        "engine",
+        "_exec_fast",
+        "_exec_table",
+        "_fills_in_flight",
+        "_hold_word",
+        "_hold_xfer",
+        "_issue_cbs",
+        "_issue_q",
+        "_line_data_cycles",
+        "locks",
+        "max_events",
+        "memory",
+        "model",
+        "procs",
+        "protocol",
+        "_ran",
+        "_ret_arrive",
+        "_ret_fill",
+        "_ret_op",
+        "_ret_write_line",
+        "_ret_write_word",
+        "_reuse_ops",
+        "_sched_inline",
+        "traceset",
+        "upgrade_conversions",
+        "_wb_total",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -133,6 +179,9 @@ class System:
             for p in range(n)
         ]
         self._done_count = 0
+        #: one immutable ("cache", p, None) supplier record per processor,
+        #: handed out by the supplier search instead of a fresh tuple
+        self._cache_supplier = [("cache", p, None) for p in range(n)]
         self._line_data_cycles = config.line_data_cycles
         self._addr_cycles = config.bus.addr_cycles
         self.upgrade_conversions = 0
@@ -171,13 +220,18 @@ class System:
         self._hold_xfer = self._addr_cycles + self._line_data_cycles
         self._hold_word = self._addr_cycles + 1
         self._done_op: BusOp | None = None
-        self._cb_arrive = self._complete_arrive
         self._cb_fill = self._complete_fill
-        self._cb_op = self._complete_op
-        self._cb_write = self._complete_write
+        # the fused executors' (hold, done) answers, built once: a
+        # memory-bound address phase (the request rides the memory's
+        # arriving slot), a cache-to-cache fill, an in-place upgrade, and
+        # a line or word write into memory
+        self._ret_arrive = (self._addr_cycles, self.memory._arrive_cb)
+        self._ret_fill = (self._hold_xfer, self._cb_fill)
+        self._ret_op = (self._addr_cycles, self._complete_op)
+        self._ret_write_line = (self._hold_xfer, self._complete_write)
+        self._ret_write_word = (self._hold_word, self._complete_write)
         if config.bus_fast_path:
-            table = [None] * len(self._exec_table)
-            for kind, handler in {
+            self._exec_fast = {
                 READ_MISS: self._fexec_read_miss,
                 RFO: self._fexec_rfo,
                 UPGRADE: self._fexec_upgrade,
@@ -190,11 +244,13 @@ class System:
                 LOCK_INVAL: self._exec_lock_inval,
                 LOCK_XFER: self._exec_lock_xfer,
                 DATA_RETURN: self._fexec_data_return,
-            }.items():
-                table[kind] = handler
-            self._exec_list = table
-            # shadow the protocol method with the fast dispatcher
+            }
+            # shadow the protocol method with the fast dispatcher, and let
+            # the fast arbiter run it inline while it stays unwrapped
             self.execute = self._execute_fast
+            self.bus._own_execute = self.execute
+            self.bus._own_buffers = self.buffers
+            self.bus._own_table = self._exec_fast
             # Per-processor issue queues + preallocated push trampolines
             # replace the per-issue closure of the reference
             # issue_from_proc.  Legal because one processor's scheduled
@@ -206,9 +262,15 @@ class System:
             self._issue_q = [deque() for _ in range(n)]
             self._issue_cbs = [self._make_issue_cb(p) for p in range(n)]
             self.issue_from_proc = self._issue_from_proc_fast
+            for p, proc in enumerate(self.procs):
+                proc._issue_append = self._issue_q[p].append
+                proc._issue_cb = self._issue_cbs[p]
         # inline engine scheduling (bucket append without the ``at`` call)
         # is only exact against the production Engine's internals
         self._sched_inline = config.bus_fast_path and type(self.engine) is Engine
+        # fast path: reuse finished read-miss, upgrade and data-return ops
+        # (decided when the run starts, see run())
+        self._reuse_ops = False
 
         from ..audit import maybe_attach
 
@@ -233,17 +295,30 @@ class System:
         self.engine.at(t, push)
 
     def _make_issue_cb(self, p: int):
-        """Preallocated push trampoline for processor ``p`` (fast path)."""
+        """Preallocated push trampoline for processor ``p`` (fast path):
+        CacheBusBuffer.push/push_front and the port's ready signal,
+        inlined, then the kick."""
         q = self._issue_q[p]
         buf = self.buffers[p]
+        entries = buf.entries
+        bus = self.bus
+        bit = 1 << bus.ports.index(buf)
+        wb_shared = self._wb_total
 
-        def push(now: int, _pop=q.popleft, _buf=buf) -> None:
+        def push(now: int, _pop=q.popleft) -> None:
             op, front = _pop()
             if front:
-                _buf.push_front(op)
+                entries.appendleft(op)
             else:
-                _buf.push(op)
-            self.bus.kick(now)
+                entries.append(op)
+            if op.kind == WRITEBACK:
+                buf.wb_count += 1
+                wb_shared[0] += 1
+            n = len(entries)
+            if n > buf.max_occupancy:
+                buf.max_occupancy = n
+            bus._ready |= bit
+            bus.kick(now)
 
         return push
 
@@ -329,7 +404,7 @@ class System:
                 if p != requester and (best < 0 or p < best):
                     best = p
             if best >= 0:
-                return ("cache", best, None)
+                return self._cache_supplier[best]
         ws = self._wb_total
         if ws is None or ws[0]:
             # only scan the write-back buffers while any write-back is
@@ -364,12 +439,12 @@ class System:
                         if q != p and (best < 0 or q < best):
                             best = q
                     if best >= 0:
-                        supplier = ("cache", best, None)
+                        supplier = self._cache_supplier[best]
             op.supplier = supplier
             if supplier is not None:
                 return True
             mem = self.memory  # inlined Memory.can_accept
-            return len(mem._in) + mem._reserved < mem.config.input_buffer
+            return len(mem._in) + mem._reserved < mem._in_cap
         if k == UPGRADE:
             if op.line in self.caches[op.proc].state:
                 return True
@@ -614,18 +689,12 @@ class System:
             buf = self.buffers[op.proc]
             if buf._space_waiters:
                 buf.notify_space(time)
-        try:
-            handler = self._exec_list[k]
-        except IndexError:
-            handler = None
+        handler = self._exec_fast.get(k)
         if handler is None:
             raise ValueError(f"unexpected bus op kind {k}")
         return handler(op, time)
 
     # -- completion trampolines (read the slot, never allocate) ---------------
-    def _complete_arrive(self, t: int) -> None:
-        self.memory.arrive(self._done_op, t)
-
     def _complete_fill(self, t: int) -> None:
         op = self._done_op
         line = op.line
@@ -635,10 +704,20 @@ class System:
             del fills[line]
         proc = self.procs[p]
         victim = self.caches[p].install(line, op.fill_state)  # proc.install_fill
-        if victim is not None:
+        if victim is not None and victim[1]:  # only a dirty victim writes back
             proc._handle_eviction(victim)
         if op.on_done is not None:
             op.on_done(t)
+        elif op.kind == READ_MISS and proc._wait_op is op and proc.state == _WAIT_MISS:
+            # Processor._op_complete for the read miss its processor
+            # waits on (always the case: a read miss blocks its issuer)
+            proc.outstanding -= 1
+            proc._miss_done(t)
+            # Nothing holds the op any more: it left its buffer and the
+            # memory at grant time, and a data return that named it was
+            # dropped at its own grant.
+            if self._reuse_ops:
+                proc._free_read = op
         else:
             proc._op_complete(op, t)
 
@@ -646,8 +725,18 @@ class System:
         op = self._done_op
         if op.on_done is not None:
             op.on_done(t)
+            return
+        proc = self.procs[op.proc]
+        if op.kind == UPGRADE and proc._wait_op is op and proc.state == _WAIT_MISS:
+            # Processor._op_complete for a stalling (SC) upgrade
+            proc.outstanding -= 1
+            if proc.pending_upgrades:
+                proc.pending_upgrades.discard(op.line)
+            proc._miss_done(t)
+            if self._reuse_ops:  # nothing else holds the op: reuse it
+                proc._free_upgrade = op
         else:
-            self.procs[op.proc]._op_complete(op, t)
+            proc._op_complete(op, t)
 
     def _complete_write(self, t: int) -> None:
         op = self._done_op  # memory arrival, then completion: the order
@@ -659,26 +748,32 @@ class System:
 
     # -- fused executors ------------------------------------------------------
     def _fexec_read_miss(self, op: BusOp, time: int):
-        self._fills_in_flight[op.line] = op.proc
+        line = op.line
+        self._fills_in_flight[line] = op.proc
         if op.supplier is not None:
             where, p, wb = op.supplier
             if where == "cache":
-                present, _dirty = self.caches[p].snoop_read(op.line)
-                assert present
-                # memory is updated during the transfer if dirty (Illinois)
+                # Cache.snoop_read, inlined: the supplier drops to SHARED
+                # (memory is updated during the transfer if dirty, Illinois)
+                supplier = self.caches[p]
+                states = supplier.state
+                assert states.get(line)  # present
+                supplier.counters.c2c_supplied += 1
+                states[line] = SHARED
             else:  # dirty line intercepted in a write-back buffer
                 self.buffers[p].cancel(wb)
                 self.procs[p].outstanding_wb -= 1
                 self.buffers[p].notify_space(time)
             op.fill_state = SHARED
             self._done_op = op
-            return (self._hold_xfer, self._cb_fill)
+            return self._ret_fill
         # from memory: Illinois loads EXCLUSIVE when no one else has it
         op.fill_state = EXCLUSIVE
         op.return_cycles = self._line_data_cycles
-        self.memory.reserve()
-        self._done_op = op
-        return (self._addr_cycles, self._cb_arrive)
+        mem = self.memory
+        mem.reserve()
+        mem._arriving = op
+        return self._ret_arrive
 
     def _fexec_rfo(self, op: BusOp, time: int):
         self._fills_in_flight[op.line] = op.proc
@@ -705,11 +800,12 @@ class System:
                 self.procs[p].outstanding_wb -= 1
                 self.buffers[p].notify_space(time)
             self._done_op = op
-            return (self._hold_xfer, self._cb_fill)
+            return self._ret_fill
         op.return_cycles = self._line_data_cycles
-        self.memory.reserve()
-        self._done_op = op
-        return (self._addr_cycles, self._cb_arrive)
+        mem = self.memory
+        mem.reserve()
+        mem._arriving = op
+        return self._ret_arrive
 
     def _fexec_upgrade(self, op: BusOp, time: int):
         cache = self.caches[op.proc]
@@ -719,9 +815,9 @@ class System:
                 for p in tuple(holders):
                     if p != op.proc:
                         self.caches[p].snoop_invalidate(op.line)
-            cache.set_state(op.line, MODIFIED)
+            cache.state[op.line] = MODIFIED  # resident: just checked
             self._done_op = op
-            return (self._addr_cycles, self._cb_op)
+            return self._ret_op
         # line vanished: perform a full write miss instead
         op.converted = True
         self.upgrade_conversions += 1
@@ -730,12 +826,12 @@ class System:
     def _fexec_writeback(self, op: BusOp, time: int):
         self.memory.reserve()
         self._done_op = op
-        return (self._hold_xfer, self._cb_write)
+        return self._ret_write_line
 
     def _fexec_update(self, op: BusOp, time: int):
         self.memory.reserve()
         self._done_op = op
-        return (self._hold_word, self._cb_write)
+        return self._ret_write_word
 
     def _fexec_writethrough(self, op: BusOp, time: int):
         holders = self.directory.get(op.line)
@@ -745,21 +841,23 @@ class System:
                     self.caches[p].snoop_invalidate(op.line)
         self.memory.reserve()
         self._done_op = op
-        return (self._hold_word, self._cb_write)
+        return self._ret_write_word
 
     def _fexec_lock_mem(self, op: BusOp, time: int):
-        self.memory.reserve()
+        mem = self.memory
+        mem.reserve()
         op.return_cycles = self._line_data_cycles
-        self._done_op = op
-        return (self._addr_cycles, self._cb_arrive)
+        mem._arriving = op
+        return self._ret_arrive
 
     def _fexec_lock_read(self, op: BusOp, time: int):
         if op.supplier is not None:
             return (self._hold_xfer, op.on_done)
-        self.memory.reserve()
+        mem = self.memory
+        mem.reserve()
         op.return_cycles = self._line_data_cycles
-        self._done_op = op
-        return (self._addr_cycles, self._cb_arrive)
+        mem._arriving = op
+        return self._ret_arrive
 
     def _fexec_lock_rfo(self, op: BusOp, time: int):
         # address phase invalidates every other cached copy
@@ -770,10 +868,11 @@ class System:
             return (self._addr_cycles, op.on_done)
         if op.supplier is not None:
             return (self._hold_xfer, op.on_done)
-        self.memory.reserve()
+        mem = self.memory
+        mem.reserve()
         op.return_cycles = self._line_data_cycles
-        self._done_op = op
-        return (self._addr_cycles, self._cb_arrive)
+        mem._arriving = op
+        return self._ret_arrive
 
     def _fexec_data_return(self, op: BusOp, time: int):
         # _split_complete's choice, made at grant time: a fill installs
@@ -782,7 +881,10 @@ class System:
         hold = orig.return_cycles
         if hold < 1:
             hold = 1
-        self.memory.release_output(time)
+        mem = self.memory
+        if self._reuse_ops:
+            mem._free_return = op  # nothing else holds it: reuse it
+        mem.release_output(time)
         k = orig.kind
         if k == READ_MISS or k == RFO or (k == UPGRADE and orig.converted):
             self._done_op = orig
@@ -796,6 +898,15 @@ class System:
         if self._ran:
             raise RuntimeError("System instances are single-use")
         self._ran = True
+        # Only an auditor, a bus observer or a wrapped ``execute`` can hold
+        # a granted op past its completion; with none attached, nothing
+        # does, and the fast path reuses the op objects it finishes.
+        self._reuse_ops = (
+            self.config.bus_fast_path
+            and self.audit is None
+            and self.bus.observer is None
+            and self.execute is self.bus._own_execute
+        )
         for proc in self.procs:
             proc.start()
         self.engine.run(max_events=self.max_events)
@@ -850,6 +961,10 @@ class System:
                 "drains": sum(p.metrics.drains for p in self.procs),
                 "drains_nonempty": sum(p.metrics.drains_nonempty for p in self.procs),
             },
+            # the run's dispatched engine events: a cost count, not a
+            # result (equal runs of the two bus bundles share it today,
+            # but nothing may depend on that)
+            diagnostics={"engine_events": self.engine.dispatched_total},
             **agg,
         )
 

@@ -12,11 +12,11 @@ Results must cross two boundaries the in-memory objects cannot:
 Every field of :class:`~repro.machine.metrics.RunResult` is integer or
 string valued (cycle counts, event counts, names), so the round trip is
 lossless: ``result_from_json(result_to_json(r)) == r`` exactly.  The one
-deliberate exception is ``diagnostics`` (fast-path profiling counters,
-``compare=False``): two byte-identical results can carry different
-counters, so persisting them would make cached bytes, worker payloads
-and golden fixtures depend on which engine produced the run.  They live
-only in memory and surface through ``repro run --profile``.
+deliberate exception is ``diagnostics`` (run introspection such as the
+engine event count, ``compare=False``): two byte-identical results can
+carry different counters, so persisting them would make cached bytes,
+worker payloads and golden fixtures depend on which engine produced the
+run.  They live only in memory.
 
 Integer-keyed mappings (per-lock breakdowns, bus op counts) are stored
 with stringified keys -- JSON object keys are always strings -- and

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-from ..core.report import render_table
 from ..runner.manifest import append_record, load_records
 from ..runner.serialize import result_from_dict
 
@@ -112,6 +111,10 @@ class StreamAggregator:
 
     def table(self, title: str = "sweep progress") -> str:
         """Incremental text table over every cell seen so far."""
+        # imported here: repro.core is the analysis layer, and nothing
+        # else a batch run does needs it
+        from ..core.report import render_table
+
         header = ["cell"] + list(_COLUMNS)
         rows = []
         for (program, scheme, model), row in sorted(self.cells.items()):

@@ -32,8 +32,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
 
 from ..runner.serialize import result_to_json
 from ..runner.spec import JobSpec
@@ -343,6 +341,10 @@ class ServiceClient:
         self.timeout = timeout
 
     def _request(self, path: str, data: bytes | None = None) -> bytes:
+        # imported here: a process that never talks HTTP (the cold grid
+        # pass, say) need not load urllib.request and http.client
+        from urllib.request import Request, urlopen
+
         req = Request(
             self.url + path,
             data=data,
@@ -364,6 +366,8 @@ class ServiceClient:
         return self._request("/metrics").decode()
 
     def result(self, key: str) -> dict | None:
+        from urllib.error import HTTPError
+
         try:
             return json.loads(self._request(f"/result/{key}"))["result"]
         except HTTPError as exc:

@@ -18,6 +18,7 @@ reference run still serializes identically.
 
 import pytest
 
+from repro.machine.config import CacheConfig, MachineConfig, MemoryConfig
 from repro.machine.engine import HeapEngine
 from repro.testing import LOCK_SCHEMES, MODELS, differential_check, run_cell
 from repro.workloads import generate_trace
@@ -72,3 +73,48 @@ def test_bus_fast_path_under_heap_engine():
         engine_factory=HeapEngine,
     )
     assert report.equal, "\n".join(report.diffs)
+
+
+#: the machines the fast bundle's chain branches on, beyond the paper's:
+#: write-back reclaim and buffer-space waits (small caches, a one-entry
+#: cache--bus buffer), the write-through and write-update executors,
+#: upgrade conversions, and memory-buffer back-pressure
+NON_DEFAULT_MACHINES = {
+    "writethrough": {"cache": CacheConfig(write_policy="writethrough")},
+    "update": {"coherence": "update"},
+    "1k-2way": {"cache": CacheConfig(size_bytes=1024, assoc=2)},
+    "1k-4way": {"cache": CacheConfig(size_bytes=1024, assoc=4)},
+    "buffer-1": {"cachebus_buffer_depth": 1},
+    "membuf-1": {"memory": MemoryConfig(input_buffer=1, output_buffer=1)},
+}
+MACHINE_PROGRAMS = ("qsort", "pdsa")
+MACHINE_LOCKS = ("queuing", "ttas", "backoff")
+
+
+@pytest.fixture(scope="module")
+def small_traces():
+    return {p: generate_trace(p, scale=0.05, seed=3) for p in MACHINE_PROGRAMS}
+
+
+@pytest.mark.parametrize("machine", sorted(NON_DEFAULT_MACHINES))
+def test_bus_fast_path_byte_identical_on_other_machines(machine, small_traces):
+    """Both bus bundles serialize identically on every non-default
+    machine; the auditor rides one cell per machine and stays silent."""
+    bad, audited = [], 0
+    for program, ts in small_traces.items():
+        config = MachineConfig(n_procs=ts.n_procs, **NON_DEFAULT_MACHINES[machine])
+        for scheme in MACHINE_LOCKS:
+            for model in MODELS:
+                audit = program == "qsort" and (scheme, model) == ("ttas", "wo")
+                report = run_cell(
+                    ts, lock_scheme=scheme, consistency=model,
+                    config=config, audit=audit,
+                )
+                if not report.equal:
+                    bad.append(f"{report.label}:\n  " + "\n  ".join(report.diffs))
+                if audit:
+                    audited += 1
+                    assert report.violations == 0, report.label
+                    assert report.audit_checks > 0
+    assert audited == 1
+    assert not bad, f"{machine}: {len(bad)} cell(s) diverged:\n" + "\n".join(bad)

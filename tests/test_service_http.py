@@ -274,3 +274,30 @@ class TestMalformedRequests:
         assert b"Connection: close" in head
         assert problem in json.loads(body)["error"]
         assert client.healthy()
+
+
+def test_import_leaves_analysis_and_http_client_unloaded():
+    """``import repro.service`` (the cold grid pass imports it for
+    ``grid_specs``) loads neither the analysis layer, which only
+    ``StreamAggregator.table`` needs, nor urllib's HTTP client, which
+    only ``ServiceClient`` needs."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys, repro.service; "
+        "print(sorted(m for m in ('repro.core', 'urllib.request', 'http.client') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
