@@ -38,7 +38,11 @@ does this), the test fails if the bus fast path is more than 25%
 cells' paired speedup regresses more than 25% below the baseline's
 recorded speedup, if a lock cell's time ratio to its yardstick rises
 more than 25% above the committed ratio, or if the auditor costs more
-than 2x.
+than 2x.  Every gate is a ratio of timings taken side by side, so a
+slowdown in code both sides run (``Processor._run``, ``Cache``,
+``Engine``) moves each ratio's two terms together and passes: this
+benchmark does not see it.  ``perfbench``'s ``grid_cold`` workload,
+run at the parent commit and at the change, does.
 Regenerate the root baseline on a quiet machine with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_hotpath_throughput.py -q

@@ -141,14 +141,6 @@ class Bus:
         # the bus at a time)
         self._pending_done: Callable[[int], None] | None = None
         self._fire_cb = self._fire
-        # fast arbiter: the service's own fast ``execute`` and the parts
-        # of it a grant can run inline (set by the system; see
-        # System._execute_fast).  A grant takes the inline route only
-        # while ``service.execute`` is that very method, so a wrapper
-        # installed on the service still sees every grant.
-        self._own_execute = None
-        self._own_buffers: list = []
-        self._own_table: dict = {}
         # inline engine scheduling (bucket append without the ``at``
         # call) is only exact against the production Engine's internals
         self._sched_inline = fast_path and type(engine) is Engine
@@ -238,8 +230,7 @@ class Bus:
             if op is None:  # empty, or all entries lazily-cancelled
                 self._ready &= ~(1 << idx)
             elif (_ALWAYS_ISSUABLE >> op.kind) & 1 or service.can_issue(op, time):
-                k = op.kind
-                if k == WRITEBACK:
+                if op.kind == WRITEBACK:
                     self._port_pop[idx]()  # the port counts its write-backs
                 else:
                     entries.popleft()
@@ -249,27 +240,14 @@ class Bus:
                 self.busy = True
                 if audit is not None:
                     audit.on_grant_pre(op, time, idx)
-                execute = service.execute
-                if execute is self._own_execute:
-                    # System._execute_fast, inlined
-                    if k != DATA_RETURN:
-                        buf = self._own_buffers[op.proc]
-                        if buf._space_waiters:
-                            buf.notify_space(time)
-                    try:
-                        handler = self._own_table[k]
-                    except KeyError:
-                        raise ValueError(f"unexpected bus op kind {k}") from None
-                    hold, done = handler(op, time)
-                else:
-                    hold, done = execute(op, time)
+                hold, done = service.execute(op, time)
                 if hold < 1:
                     raise ValueError(
                         f"bus op {op} reported hold of {hold} cycles"
                     )
                 self.busy_cycles += hold
                 self.grants += 1
-                self._op_counts[k] += 1
+                self._op_counts[op.kind] += 1
                 if self.observer is not None:
                     self.observer(op, time, hold)
                 if audit is not None:

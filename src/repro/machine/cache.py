@@ -192,33 +192,6 @@ class Cache:
                 self.audit.on_install(self._proc, line, state)
             return None
         set_idx = line & self._set_mask
-        if self._assoc2 and self.audit is None:
-            # the paper's two-way geometry: the new line takes the MRU
-            # way, the old MRU moves down, the LRU (if any) is the victim
-            base = set_idx << 1
-            ways = self._ways
-            size = self._sizes[set_idx]
-            st = self.state
-            if size >= 2:
-                vline = ways[base + 1]
-                vstate = st.pop(vline)
-                self.counters.evictions += 1
-                self._dir_remove(vline)
-                victim = (vline, vstate == MODIFIED)
-            else:
-                self._sizes[set_idx] = size + 1
-                victim = None
-            ways[base + 1] = ways[base]
-            ways[base] = line
-            st[line] = state
-            d = self._dir
-            if d is not None:
-                holders = d.get(line)
-                if holders is None:
-                    d[line] = [self._proc]
-                else:
-                    holders.append(self._proc)
-            return victim
         base = set_idx * self.assoc
         size = self._sizes[set_idx]
         ways = self._ways

@@ -245,12 +245,8 @@ class System:
                 LOCK_XFER: self._exec_lock_xfer,
                 DATA_RETURN: self._fexec_data_return,
             }
-            # shadow the protocol method with the fast dispatcher, and let
-            # the fast arbiter run it inline while it stays unwrapped
+            # shadow the protocol method with the fast dispatcher
             self.execute = self._execute_fast
-            self.bus._own_execute = self.execute
-            self.bus._own_buffers = self.buffers
-            self.bus._own_table = self._exec_fast
             # Per-processor issue queues + preallocated push trampolines
             # replace the per-issue closure of the reference
             # issue_from_proc.  Legal because one processor's scheduled
@@ -295,30 +291,17 @@ class System:
         self.engine.at(t, push)
 
     def _make_issue_cb(self, p: int):
-        """Preallocated push trampoline for processor ``p`` (fast path):
-        CacheBusBuffer.push/push_front and the port's ready signal,
-        inlined, then the kick."""
+        """Preallocated push trampoline for processor ``p`` (fast path)."""
         q = self._issue_q[p]
         buf = self.buffers[p]
-        entries = buf.entries
-        bus = self.bus
-        bit = 1 << bus.ports.index(buf)
-        wb_shared = self._wb_total
 
-        def push(now: int, _pop=q.popleft) -> None:
+        def push(now: int, _pop=q.popleft, _buf=buf) -> None:
             op, front = _pop()
             if front:
-                entries.appendleft(op)
+                _buf.push_front(op)
             else:
-                entries.append(op)
-            if op.kind == WRITEBACK:
-                buf.wb_count += 1
-                wb_shared[0] += 1
-            n = len(entries)
-            if n > buf.max_occupancy:
-                buf.max_occupancy = n
-            bus._ready |= bit
-            bus.kick(now)
+                _buf.push(op)
+            self.bus.kick(now)
 
         return push
 
@@ -748,18 +731,13 @@ class System:
 
     # -- fused executors ------------------------------------------------------
     def _fexec_read_miss(self, op: BusOp, time: int):
-        line = op.line
-        self._fills_in_flight[line] = op.proc
+        self._fills_in_flight[op.line] = op.proc
         if op.supplier is not None:
             where, p, wb = op.supplier
             if where == "cache":
-                # Cache.snoop_read, inlined: the supplier drops to SHARED
-                # (memory is updated during the transfer if dirty, Illinois)
-                supplier = self.caches[p]
-                states = supplier.state
-                assert states.get(line)  # present
-                supplier.counters.c2c_supplied += 1
-                states[line] = SHARED
+                present, _dirty = self.caches[p].snoop_read(op.line)
+                assert present
+                # memory is updated during the transfer if dirty (Illinois)
             else:  # dirty line intercepted in a write-back buffer
                 self.buffers[p].cancel(wb)
                 self.procs[p].outstanding_wb -= 1
@@ -905,7 +883,9 @@ class System:
             self.config.bus_fast_path
             and self.audit is None
             and self.bus.observer is None
-            and self.execute is self.bus._own_execute
+            # still the bound method __init__ installed (equal, not
+            # identical: each attribute read binds a fresh method object)
+            and self.execute == self._execute_fast
         )
         for proc in self.procs:
             proc.start()
