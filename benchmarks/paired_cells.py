@@ -8,18 +8,23 @@ six lock schemes, SC and WO) in two worker processes, one importing
 
 ``A_SRC`` and ``B_SRC`` are ``src`` directories, each holding a
 ``repro`` package; a worker refuses to start if ``repro`` imports from
-anywhere else.  Both workers generate every trace and build the
-interpreter tables before timing starts, and both pin themselves to the
-same CPU, so they never run at once and always run on the same core.
-Within a round, consecutive cells alternate which side runs first.
+anywhere else.  Every round starts a fresh pair of workers, the two
+sides started in turn first, so a bias of one process (its memory
+layout, say) averages out across rounds.  Both workers generate every
+trace and build the interpreter tables before timing starts, and both
+pin themselves to the same CPU, so they never run at once and always
+run on the same core.  Within a round, consecutive cells alternate
+which side runs first.
 
 The tool stops without printing a ratio if any cell's result digest
 (SHA-256 of its canonical ``result_to_dict`` JSON) differs between the
-two sides.  Otherwise it prints B/A of the summed simulation CPU per
-round and per program, and next to it each side's engine events and
-bus grants per program (one round's worth), with the number of cells
-whose counts differ between the sides.  Running a tree against itself
-(an A/A run) shows how far apart two identical sides read on the host.
+two sides.  Otherwise it prints, per round, B/A of the summed
+simulation CPU beside each side's peak RSS (the worker ran the same
+cells in the same order), then B/A per program, and next to it each
+side's engine events and bus grants per program (one round's worth),
+with the number of cells whose counts differ between the sides.
+Running a tree against itself (an A/A run) shows how far apart two
+identical sides read on the host.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -91,7 +97,13 @@ def _worker(src: str, scale: float, seed: int, cpu: int) -> int:
         digest = hashlib.sha256(canon.encode()).hexdigest()
         events = result.diagnostics.get("engine_events", dispatched[0])
         grants = result.meta["bus_grants"]
-        reply = {"cpu_s": cpu_s, "digest": digest, "events": events, "grants": grants}
+        reply = {
+            "cpu_s": cpu_s,
+            "digest": digest,
+            "events": events,
+            "grants": grants,
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        }
         print(json.dumps(reply), flush=True)
     return 0
 
@@ -142,14 +154,20 @@ def main(argv=None) -> int:
         p.error("A_SRC and B_SRC are required")
 
     cpu = max(os.sched_getaffinity(0))
-    workers = {"A": _start(args.a_src, args, cpu), "B": _start(args.b_src, args, cpu)}
     n = len(CELLS)
-    cpu_s = {side: [[0.0] * n for _ in range(args.rounds)] for side in workers}
-    counts = {side: [None] * n for side in workers}  # (events, grants) per cell
-    try:
-        for side, proc in workers.items():
-            print(f"{side}: {_read(proc, side)['ready']}", flush=True)
-        for r in range(args.rounds):
+    cpu_s = {side: [[0.0] * n for _ in range(args.rounds)] for side in "AB"}
+    counts = {side: [None] * n for side in "AB"}  # (events, grants) per cell
+    src = {"A": args.a_src, "B": args.b_src}
+    for r in range(args.rounds):
+        # a fresh pair of workers per round, the sides taking turns to start first
+        first = ("A", "B") if r % 2 == 0 else ("B", "A")
+        workers = {side: _start(src[side], args, cpu) for side in first}
+        peak_mb = {}
+        try:
+            for side, proc in workers.items():
+                ready = _read(proc, side)["ready"]
+                if r == 0:
+                    print(f"{side}: {ready}", flush=True)
             for i in range(n):
                 order = ("A", "B") if (i + r) % 2 == 0 else ("B", "A")
                 digests = {}
@@ -161,16 +179,21 @@ def main(argv=None) -> int:
                     cpu_s[side][r][i] = reply["cpu_s"]
                     digests[side] = reply["digest"]
                     counts[side][i] = (reply["events"], reply["grants"])
+                    peak_mb[side] = reply["peak_rss_kb"] / 1024
                 if digests["A"] != digests["B"]:
                     label = "/".join(CELLS[i])
                     print(f"result digests differ on {label}: {digests}", file=sys.stderr)
                     return 1
-            a, b = sum(cpu_s["A"][r]), sum(cpu_s["B"][r])
-            print(f"round {r + 1}: A {a:.3f} s  B {b:.3f} s  B/A {b / a:.4f}", flush=True)
-    finally:
-        for proc in workers.values():
-            proc.stdin.close()
-            proc.wait(timeout=60)
+        finally:
+            for proc in workers.values():
+                proc.stdin.close()
+                proc.wait(timeout=60)
+        a, b = sum(cpu_s["A"][r]), sum(cpu_s["B"][r])
+        print(
+            f"round {r + 1}: A {a:.3f} s  B {b:.3f} s  B/A {b / a:.4f}"
+            f"  peak RSS A {peak_mb['A']:.1f} MB  B {peak_mb['B']:.1f} MB",
+            flush=True,
+        )
 
     print(
         f"\n{'program':<10} {'A_s':>9} {'B_s':>9} {'B/A':>7}"
@@ -180,8 +203,8 @@ def main(argv=None) -> int:
         idx = [i for i, c in enumerate(CELLS) if prog in (c[0], "total")]
         a = sum(cpu_s["A"][r][i] for r in range(args.rounds) for i in idx)
         b = sum(cpu_s["B"][r][i] for r in range(args.rounds) for i in idx)
-        ev = {side: sum(counts[side][i][0] for i in idx) for side in workers}
-        gr = {side: sum(counts[side][i][1] for i in idx) for side in workers}
+        ev = {side: sum(counts[side][i][0] for i in idx) for side in "AB"}
+        gr = {side: sum(counts[side][i][1] for i in idx) for side in "AB"}
         print(
             f"{prog:<10} {a:>9.3f} {b:>9.3f} {b / a:>7.4f}"
             f" {ev['A']:>10} {ev['B']:>10} {gr['A']:>9} {gr['B']:>9}"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..consistency import get_model
 from ..machine.config import MachineConfig
 from ..machine.metrics import RunResult
-from ..machine.system import System
+from ..machine.system import simulate
 from ..runner import JobSpec
 from ..sync import get_lock_manager
 from ..trace.records import TraceSet
@@ -56,16 +56,13 @@ class Experiment:
         return self.traceset
 
     def run(self) -> RunResult:
-        ts = self.trace()
-        config = self.machine or MachineConfig(n_procs=ts.n_procs)
-        system = System(
-            ts,
-            config,
+        return simulate(
+            self.trace(),
+            self.machine,
             get_lock_manager(self.lock_scheme, **self.lock_kwargs),
             get_model(self.consistency),
             max_events=self.max_events,
         )
-        return system.run()
 
 
 def run_experiment(

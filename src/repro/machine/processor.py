@@ -15,6 +15,7 @@ drains at synchronization points, and to a full cache--bus buffer.
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappush as _heappush
 
 from ..consistency.base import ConsistencyModel
@@ -41,13 +42,17 @@ _WORD_SHIFT = 2  # REP_STRIDE == 4-byte elements, and 4-byte instructions
 # record array, and a suite run simulates the same traceset under
 # several machine configurations.  Keyed by ``id(records)`` with a
 # weakref identity check so a recycled id of a garbage-collected array
-# can never alias.
+# can never alias; the weakref's callback drops the entry when the
+# array dies, so a dropped trace's tables go with it.
 _interp_memo: dict[int, tuple] = {}
 
 
-def _interp_tables(trace):
-    import weakref
+def _interp_evict(ref, key: int) -> None:
+    if _interp_memo.get(key, (None,))[0] is ref:
+        del _interp_memo[key]
 
+
+def _interp_tables(trace):
     rec = trace.records
     key = id(rec)
     ent = _interp_memo.get(key)
@@ -55,7 +60,7 @@ def _interp_tables(trace):
         if len(_interp_memo) >= 256:  # bound the cache across many tracesets
             _interp_memo.clear()
         ent = (
-            weakref.ref(rec),
+            weakref.ref(rec, lambda ref, key=key: _interp_evict(ref, key)),
             rec["kind"].tolist(),
             rec["addr"].tolist(),
             rec["arg"].tolist(),

@@ -53,7 +53,12 @@ __all__ = ["System", "simulate"]
 
 
 class System:
-    """One complete simulation instance (single use: build, run, read)."""
+    """One complete simulation instance, used once: build, run, read,
+    close.  :meth:`run` leaves the machine readable for inspection, and
+    :meth:`close` then frees it by reference counting.  Whoever builds a
+    System and hands out only its result closes it: :func:`simulate`
+    (so ``JobSpec.run`` and ``Experiment.run``) and
+    ``repro.testing.differential.run_cell``."""
 
     # Slots for the hot attributes (see Processor.__slots__).  The
     # instance dict stays for the methods shadowed per instance: the fast
@@ -948,6 +953,35 @@ class System:
             **agg,
         )
 
+    def close(self) -> None:
+        """Break the reference cycles among the parts this System built,
+        so reference counting frees them: every attribute of the System,
+        its processors, caches, buffers, bus, memory, memory port and
+        engine is dropped, and the lock and barrier managers are detached.
+        The inputs stay readable: ``traceset``, ``config``, ``model``,
+        ``locks`` and ``barriers``.  A closed System cannot run again."""
+        if not hasattr(self, "engine"):  # already closed
+            return
+        kept = (self.traceset, self.config, self.model, self.locks, self.barriers)
+        for manager in (self.locks, self.barriers):
+            if getattr(manager, "machine", None) is self:
+                manager.machine = None
+        if self.audit is not None:
+            self.audit.system = None  # its report stays readable
+        parts = (*self.procs, *self.caches, *self.buffers, self.bus, self.memory)
+        for part in (*parts, self.memory.port, self.engine, self):
+            _clear(part)
+        self.traceset, self.config, self.model, self.locks, self.barriers = kept
+        self._ran = True
+
+
+def _clear(obj) -> None:
+    """Drop every attribute of ``obj``: its instance dict and its slots."""
+    getattr(obj, "__dict__", {}).clear()
+    for name in getattr(type(obj), "__slots__", ()):
+        if name != "__dict__" and hasattr(obj, name):
+            delattr(obj, name)
+
 
 def simulate(
     traceset: TraceSet,
@@ -957,7 +991,7 @@ def simulate(
     barrier_manager=None,
     max_events: int | None = None,
 ) -> RunResult:
-    """Convenience wrapper: build a System with defaults and run it.
+    """Build a System, run it and close it; returns the result.
 
     Defaults: paper machine configuration, queuing locks, sequential
     consistency.
@@ -979,4 +1013,7 @@ def simulate(
         barrier_manager=barrier_manager,
         max_events=max_events,
     )
-    return system.run()
+    try:
+        return system.run()
+    finally:
+        system.close()

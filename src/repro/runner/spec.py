@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from ..consistency import get_model
 from ..machine.config import MachineConfig
 from ..machine.metrics import RunResult
-from ..machine.system import System
+from ..machine.system import simulate
 from ..sync import get_lock_manager
 from ..trace.records import TraceSet
 from .serialize import machine_from_dict, machine_to_dict
@@ -169,12 +169,10 @@ class JobSpec:
     def run(self, traceset: TraceSet | None = None) -> RunResult:
         """Execute the simulation this spec describes."""
         ts = traceset if traceset is not None else self.resolve_traceset()
-        config = self.machine or MachineConfig(n_procs=ts.n_procs)
-        system = System(
+        return simulate(
             ts,
-            config,
+            self.machine,
             get_lock_manager(self.lock_scheme, **dict(self.lock_kwargs)),
             get_model(self.consistency),
             max_events=self.max_events,
         )
-        return system.run()

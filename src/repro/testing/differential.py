@@ -172,18 +172,21 @@ def run_cell(
             get_model(consistency),
             engine_factory=engine_factory,
         )
-        if audit and fast and system.audit is None:
-            from ..audit import SystemAuditor
+        try:
+            if audit and fast and system.audit is None:
+                from ..audit import SystemAuditor
 
-            SystemAuditor.attach(system, mode="collect")
-        body = result_to_json(system.run())
-        canon[fast] = json.loads(body)
-        if fast:
-            digest = hashlib.sha256(body.encode()).hexdigest()
-            if system.audit is not None:
-                rep = system.audit.report
-                violations = len(rep.violations)
-                audit_checks = sum(rep.checks.values())
+                SystemAuditor.attach(system, mode="collect")
+            body = result_to_json(system.run())
+            canon[fast] = json.loads(body)
+            if fast:
+                digest = hashlib.sha256(body.encode()).hexdigest()
+                if system.audit is not None:
+                    rep = system.audit.report
+                    violations = len(rep.violations)
+                    audit_checks = sum(rep.checks.values())
+        finally:
+            system.close()
     equal = canon[True] == canon[False]
     return CellReport(
         program=program or traceset.program,
