@@ -1163,43 +1163,43 @@ def _run_submit(args) -> int:
 
     from urllib.error import HTTPError
 
-    client = ServiceClient(args.url, timeout=args.http_timeout)
-    if not client.healthy():
-        print(f"error: no sweep service answering at {args.url}", file=sys.stderr)
-        return 2
-    try:
-        if args.spec_file:
-            with open(args.spec_file) as fh:
-                specs = json.load(fh)
-            response = client.submit(
-                specs=specs, n_shards=args.n_shards, priority=args.priority
-            )
-        else:
-            if args.programs.strip().lower() == "all":
-                programs = list(BENCHMARK_ORDER)
+    with ServiceClient(args.url, timeout=args.http_timeout) as client:
+        if not client.healthy():
+            print(f"error: no sweep service answering at {args.url}", file=sys.stderr)
+            return 2
+        try:
+            if args.spec_file:
+                with open(args.spec_file) as fh:
+                    specs = json.load(fh)
+                response = client.submit(
+                    specs=specs, n_shards=args.n_shards, priority=args.priority
+                )
             else:
-                programs = [p.strip() for p in args.programs.split(",") if p.strip()]
-            grid = {
-                "programs": programs,
-                "locks": [s.strip() for s in args.locks.split(",") if s.strip()],
-                "models": [m.strip() for m in args.models.split(",") if m.strip()],
-                "scale": args.scale,
-                "seed": args.seed,
-            }
-            if args.procs is not None:
-                grid["n_procs"] = args.procs
-            response = client.submit(
-                grid=grid, n_shards=args.n_shards, priority=args.priority
-            )
-    except HTTPError as exc:
-        if exc.code == 503:
-            retry_after = exc.headers.get("Retry-After", "?")
-            print(
-                f"error: service overloaded (503); retry in {retry_after}s",
-                file=sys.stderr,
-            )
-            return 3
-        raise
+                if args.programs.strip().lower() == "all":
+                    programs = list(BENCHMARK_ORDER)
+                else:
+                    programs = [p.strip() for p in args.programs.split(",") if p.strip()]
+                grid = {
+                    "programs": programs,
+                    "locks": [s.strip() for s in args.locks.split(",") if s.strip()],
+                    "models": [m.strip() for m in args.models.split(",") if m.strip()],
+                    "scale": args.scale,
+                    "seed": args.seed,
+                }
+                if args.procs is not None:
+                    grid["n_procs"] = args.procs
+                response = client.submit(
+                    grid=grid, n_shards=args.n_shards, priority=args.priority
+                )
+        except HTTPError as exc:
+            if exc.code == 503:
+                retry_after = exc.headers.get("Retry-After", "?")
+                print(
+                    f"error: service overloaded (503); retry in {retry_after}s",
+                    file=sys.stderr,
+                )
+                return 3
+            raise
     if args.json:
         print(json.dumps(response, indent=2))
         return 0 if all(r["ok"] for r in response["results"]) else 1
@@ -1235,14 +1235,14 @@ def _run_status(args) -> int:
 
     from .service import ServiceClient
 
-    client = ServiceClient(args.url, timeout=30.0)
-    if not client.healthy():
-        print(f"error: no sweep service answering at {args.url}", file=sys.stderr)
-        return 2
-    if args.metrics:
-        print(client.metrics(), end="")
-        return 0
-    snap = client.status()
+    with ServiceClient(args.url, timeout=30.0) as client:
+        if not client.healthy():
+            print(f"error: no sweep service answering at {args.url}", file=sys.stderr)
+            return 2
+        if args.metrics:
+            print(client.metrics(), end="")
+            return 0
+        snap = client.status()
     if args.json:
         print(json.dumps(snap, indent=2))
         return 0

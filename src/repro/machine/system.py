@@ -957,17 +957,21 @@ class System:
         """Break the reference cycles among the parts this System built,
         so reference counting frees them: every attribute of the System,
         its processors, caches, buffers, bus, memory, memory port and
-        engine is dropped, and the lock and barrier managers are detached.
-        The inputs stay readable: ``traceset``, ``config``, ``model``,
-        ``locks`` and ``barriers``.  A closed System cannot run again."""
+        engine is dropped; the lock and barrier managers and an auditor
+        are detached (the auditor's report stays readable).  The inputs
+        stay readable: ``traceset``, ``config``, ``model``, ``locks`` and
+        ``barriers``.  A closed System cannot run again."""
         if not hasattr(self, "engine"):  # already closed
             return
         kept = (self.traceset, self.config, self.model, self.locks, self.barriers)
         for manager in (self.locks, self.barriers):
             if getattr(manager, "machine", None) is self:
                 manager.machine = None
-        if self.audit is not None:
-            self.audit.system = None  # its report stays readable
+        audit = self.audit
+        if audit is not None:  # it and its sub-auditors point at each other
+            audit.system = None
+            for part in (audit.coherence, audit.busproto, audit.locks, audit.accounting):
+                part.top = None
         parts = (*self.procs, *self.caches, *self.buffers, self.bus, self.memory)
         for part in (*parts, self.memory.port, self.engine, self):
             _clear(part)

@@ -91,6 +91,8 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
+        #: ``<root>/objects/`` as a string, so a lookup joins no Paths
+        self._objects = os.path.join(self.root, "objects", "")
 
     # ------------------------------------------------------------------
     def _objects_dir(self) -> Path:
@@ -99,13 +101,13 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self._objects_dir() / key[:2] / f"{key}.json"
 
-    def _discard(self, path: Path) -> None:
+    def _discard(self, path) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
-    def _invalidate(self, path: Path) -> None:
+    def _invalidate(self, path) -> None:
         self.stats.invalidated += 1
         self.stats.misses += 1
         self._discard(path)
@@ -150,9 +152,10 @@ class ResultCache:
         if not _KEY.fullmatch(key):
             self.stats.misses += 1
             return None
-        path = self.path_for(key)
+        path = f"{self._objects}{key[:2]}{os.sep}{key}.json"
         try:
-            data = path.read_bytes()
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -192,7 +195,7 @@ class ResultCache:
                 fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
             os.replace(tmp, path)
         except BaseException:
-            self._discard(Path(tmp))
+            self._discard(tmp)
             raise
         self.stats.puts += 1
         return key

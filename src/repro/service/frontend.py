@@ -23,15 +23,19 @@ store.  Endpoints:
   carrying the drain-time estimate (load shedding, not queuing
   collapse).
 
-:class:`ServiceClient` is the synchronous :mod:`urllib` counterpart the
-CLI (``repro submit`` / ``repro status``) uses.
+:class:`ServiceClient` is the synchronous counterpart the CLI (``repro
+submit`` / ``repro status``) uses: a :mod:`http.client` connection kept
+alive across requests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
+import threading
 import time
+from urllib.error import HTTPError
 
 from ..runner.serialize import result_to_json
 from ..runner.spec import JobSpec
@@ -64,6 +68,9 @@ class ServiceServer:
         self.aggregator = aggregator if aggregator is not None else StreamAggregator()
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
+        #: handler task -> its writer while idle between requests, else None
+        self._conns: dict = {}
+        self._closing = False
 
     # ------------------------------------------------------------------
     async def start(self) -> "ServiceServer":
@@ -79,13 +86,24 @@ class ServiceServer:
         return f"http://{self.host}:{self.port}"
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`close` (``asyncio``'s own
+        would wait for idle kept-alive connections to close)."""
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.close()
 
     async def close(self) -> None:
+        """Stop listening, close idle connections, let each request in
+        flight finish and close its connection, close the scheduler."""
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            for writer in filter(None, self._conns.values()):
+                writer.close()
+            if self._conns:
+                await asyncio.wait(list(self._conns))
             await self._server.wait_closed()
             self._server = None
         self.scheduler.close()
@@ -94,15 +112,18 @@ class ServiceServer:
     # HTTP plumbing
     # ------------------------------------------------------------------
     async def _connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
         try:
-            while True:
+            while not self._closing:
+                self._conns[task] = writer
+                line = await reader.readline()
+                self._conns[task] = None
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, line)
                 except _BadRequest as exc:
                     # the stream cannot be trusted past a malformed
                     # request: answer it, then close
-                    error = _json({"error": str(exc)})
-                    self._write_response(writer, 400, error, "application/json", False)
+                    self._write_response(writer, *_error(400, exc), False)
                     await writer.drain()
                     break
                 if request is None:
@@ -114,28 +135,17 @@ class ServiceServer:
                         method, path, body
                     )
                 except _BadRequest as exc:
-                    status, payload, content_type = (
-                        400,
-                        _json({"error": str(exc)}),
-                        "application/json",
-                    )
+                    status, payload, content_type = _error(400, exc)
                 except Overloaded as exc:
                     # load shedding: refuse now, tell the client when
                     # the queue should have drained
                     retry_after = max(1, round(exc.retry_after))
-                    status, payload, content_type = (
-                        503,
-                        _json({"error": str(exc), "retry_after": retry_after}),
-                        "application/json",
-                    )
+                    status, payload, content_type = _error(503, exc, retry_after=retry_after)
                     extra_headers = ((f"Retry-After: {retry_after}"),)
                 except Exception as exc:  # route bug: report, keep serving
-                    status, payload, content_type = (
-                        500,
-                        _json({"error": f"{type(exc).__name__}: {exc}"}),
-                        "application/json",
-                    )
+                    status, payload, content_type = _error(500, f"{type(exc).__name__}: {exc}")
                 keep = headers.get("connection", "keep-alive").lower() != "close"
+                keep = keep and not self._closing
                 self._write_response(
                     writer, status, payload, content_type, keep, extra_headers
                 )
@@ -145,6 +155,7 @@ class ServiceServer:
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-request; nothing to answer
         finally:
+            self._conns.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -152,8 +163,7 @@ class ServiceServer:
                 pass
 
     @staticmethod
-    async def _read_request(reader):
-        line = await reader.readline()
+    async def _read_request(reader, line: bytes):
         if not line or not line.strip():
             return None
         try:
@@ -201,7 +211,7 @@ class ServiceServer:
             return 200, b"ok\n", "text/plain; charset=utf-8"
         if path == "/metrics":
             if method != "GET":
-                return 405, _json({"error": "GET only"}), "application/json"
+                return _error(405, "GET only")
             return 200, self._metrics_text().encode(), "text/plain; version=0.0.4; charset=utf-8"
         if path == "/status":
             return 200, _json(self._status()), "application/json"
@@ -209,9 +219,9 @@ class ServiceServer:
             return await self._get_result(path[len("/result/") :])
         if path == "/submit":
             if method != "POST":
-                return 405, _json({"error": "POST only"}), "application/json"
+                return _error(405, "POST only")
             return await self._submit(body)
-        return 404, _json({"error": f"no route {path!r}"}), "application/json"
+        return _error(404, f"no route {path!r}")
 
     def _status(self) -> dict:
         out = self.scheduler.status()
@@ -239,10 +249,10 @@ class ServiceServer:
     async def _get_result(self, key: str):
         cache = self.scheduler.cache
         if cache is None:
-            return 404, _json({"error": "service runs without a result cache"}), "application/json"
+            return _error(404, "service runs without a result cache")
         body = cache.get_bytes(key)
         if body is None:
-            return 404, _json({"error": f"no cached result for key {key}"}), "application/json"
+            return _error(404, f"no cached result for key {key}")
         return 200, _with_result({"key": key}, body), "application/json"
 
     async def _submit(self, body: bytes):
@@ -324,6 +334,11 @@ def _json(obj) -> bytes:
     return json.dumps(obj).encode()
 
 
+def _error(status: int, message, **extra) -> tuple:
+    """``(status, payload, content type)`` of a JSON error reply."""
+    return status, _json({"error": str(message), **extra}), "application/json"
+
+
 def _with_result(obj: dict, body: bytes) -> bytes:
     """``obj`` as JSON with one more member, ``"result"``, whose value is
     ``body`` -- already-encoded JSON, spliced in without decoding."""
@@ -334,24 +349,60 @@ def _with_result(obj: dict, body: bytes) -> bytes:
 # Synchronous client (CLI, scripts, benchmarks)
 # ----------------------------------------------------------------------
 class ServiceClient:
-    """Blocking HTTP client for a :class:`ServiceServer`."""
+    """Blocking HTTP client for a :class:`ServiceServer`: requests share
+    one kept-alive connection (reopened once if the server closed it
+    while idle), a lock serializes threads, and a non-2xx reply raises
+    :class:`urllib.error.HTTPError`.  Close it, or use it in ``with``."""
 
     def __init__(self, url: str, timeout: float = 300.0) -> None:
+        # imported here: a process that never talks HTTP (the cold grid
+        # pass, say) need not load http.client
+        from http.client import HTTPConnection
+        from urllib.parse import urlsplit
+
         self.url = url.rstrip("/")
         self.timeout = timeout
+        where = urlsplit(self.url)
+        self._prefix = where.path
+        self._conn = HTTPConnection(where.hostname, where.port, timeout)
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()  # the next request opens a new one
 
     def _request(self, path: str, data: bytes | None = None) -> bytes:
-        # imported here: a process that never talks HTTP (the cold grid
-        # pass, say) need not load urllib.request and http.client
-        from urllib.request import Request, urlopen
-
-        req = Request(
-            self.url + path,
-            data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        with urlopen(req, timeout=self.timeout) as resp:
-            return resp.read()
+        headers = {"Content-Type": "application/json"} if data else {}
+        request = ("GET" if data is None else "POST", self._prefix + path, data, headers)
+        conn = self._conn
+        with self._lock:
+            try:
+                try:
+                    reused = conn.sock is not None
+                    conn.request(*request)
+                    resp = conn.getresponse()
+                except ConnectionError:
+                    if not reused:
+                        raise
+                    # the server closed the kept connection while it
+                    # was idle, so no byte came back: send once more
+                    conn.close()
+                    conn.request(*request)
+                    resp = conn.getresponse()
+                body = resp.read()
+            except BaseException:
+                conn.close()
+                raise
+        if not 200 <= resp.status < 300:
+            url, fp = self.url + path, io.BytesIO(body)
+            raise HTTPError(url, resp.status, resp.reason, resp.headers, fp)
+        return body
 
     def healthy(self) -> bool:
         try:
@@ -366,8 +417,6 @@ class ServiceClient:
         return self._request("/metrics").decode()
 
     def result(self, key: str) -> dict | None:
-        from urllib.error import HTTPError
-
         try:
             return json.loads(self._request(f"/result/{key}"))["result"]
         except HTTPError as exc:

@@ -309,6 +309,34 @@ class Scheduler:
                 retry_after=self._retry_after(extra),
             )
 
+    def _lookup(self, spec: JobSpec, high: bool) -> tuple[str, float, CellOutcome | None]:
+        """Every cell's first step, synchronous: key it, count it, read the
+        store.  Returns ``(key, t0, hit)``, ``hit`` None on a miss."""
+        t0 = time.perf_counter()
+        key = spec.cache_key()
+        self.metrics.count("requests")
+        if high:
+            self.metrics.count("priority_high")
+        body = self.cache.get_bytes(key) if self.cache is not None else None
+        self.metrics.observe("lookup", time.perf_counter() - t0)
+        if body is None:
+            self.metrics.count("cache_misses")
+            return key, t0, None
+        self.metrics.count("cache_hits")
+        hit = CellOutcome(
+            spec, key, "hit", result_json=body, elapsed_s=time.perf_counter() - t0
+        )
+        self.metrics.observe("total", hit.elapsed_s)
+        return key, t0, hit
+
+    def _attached(self, spec: JobSpec, key: str, shared: CellOutcome, t0: float):
+        """The outcome of a cell that waited for ``shared``, its key's owner."""
+        now = time.perf_counter()
+        self.metrics.observe("wait", now - t0)
+        out = CellOutcome(spec, key, "attached", shared.outcome, elapsed_s=now - t0)
+        self.metrics.observe("total", out.elapsed_s)
+        return out
+
     async def submit(self, spec: JobSpec, priority: str = "normal") -> CellOutcome:
         """Serve one cell: cache hit, peer fetch, dedup attach, or compute.
 
@@ -317,35 +345,16 @@ class Scheduler:
         Hits, peer fetches, and attaches are unaffected -- they never
         queue and are never shed.
         """
-        t0 = time.perf_counter()
-        key = spec.cache_key()
         high = priority == "high"
-        self.metrics.count("requests")
-        if high:
-            self.metrics.count("priority_high")
-        hit = self.cache.get_bytes(key) if self.cache is not None else None
-        self.metrics.observe("lookup", time.perf_counter() - t0)
-        if hit is not None:
-            self.metrics.count("cache_hits")
-            out = CellOutcome(spec, key, "hit", result_json=hit)
-            out.elapsed_s = time.perf_counter() - t0
-            self.metrics.observe("total", out.elapsed_s)
-            return out
-        self.metrics.count("cache_misses")
+        key, t0, hit = self._lookup(spec, high)
+        return hit if hit is not None else await self._serve_miss(spec, key, t0, high)
 
+    async def _serve_miss(self, spec: JobSpec, key: str, t0: float, high: bool):
+        """Serve a miss: attach to its key in flight, fetch, or execute."""
         fut = self._inflight.get(key)
         if fut is not None:
-            # attach: share the in-flight computation for this key
             self.metrics.count("dedup_attached")
-            t_wait = time.perf_counter()
-            shared: CellOutcome = await asyncio.shield(fut)
-            now = time.perf_counter()
-            self.metrics.observe("wait", now - t_wait)
-            out = CellOutcome(
-                spec, key, "attached", shared.outcome, attempts=0, elapsed_s=now - t0
-            )
-            self.metrics.observe("total", out.elapsed_s)
-            return out
+            return self._attached(spec, key, await asyncio.shield(fut), t0)
 
         if self._peers is not None:
             remote = await self._peers.fetch_result(key, spec=spec)
@@ -391,11 +400,28 @@ class Scheduler:
             self.metrics.count("in_flight", -1)
 
     async def submit_many(self, specs, priority: str = "normal") -> list[CellOutcome]:
-        """Serve a batch of cells concurrently (dedup applies across
-        the batch: duplicate specs cost one simulation)."""
-        return list(
-            await asyncio.gather(*(self.submit(s, priority=priority) for s in specs))
-        )
+        """Serve a batch of cells.  One synchronous lookup pass settles
+        every hit; the misses are then served concurrently, and a key
+        repeated in the batch attaches to its first occurrence, so
+        duplicate specs cost one simulation."""
+        specs = list(specs)
+        high = priority == "high"
+        outs, owners, repeats = [], {}, []  # owners: miss key -> (index, t0)
+        for i, spec in enumerate(specs):
+            key, t0, hit = self._lookup(spec, high)
+            outs.append(hit)
+            if hit is None and key in owners:
+                self.metrics.count("dedup_attached")
+                repeats.append((i, key, t0))
+            elif hit is None:
+                owners[key] = i, t0
+        if owners:
+            misses = (self._serve_miss(specs[i], k, t0, high) for k, (i, t0) in owners.items())
+            for (i, _t0), out in zip(owners.values(), await asyncio.gather(*misses)):
+                outs[i] = out
+        for i, key, t0 in repeats:
+            outs[i] = self._attached(specs[i], key, outs[owners[key][0]], t0)
+        return outs
 
     async def submit_grid(
         self, specs, n_shards: int | None = None, priority: str = "normal"
@@ -420,37 +446,21 @@ class Scheduler:
             return await self.submit_many(specs, priority=priority)
 
         loop = asyncio.get_running_loop()
-        keys = [s.cache_key() for s in specs]
-        outs: list = [None] * len(specs)
+        keys, outs = [], []
         to_compute: list[int] = []  # indices owning a new in-flight key
         owned: dict[str, asyncio.Future] = {}
-        attached: list[tuple[int, str, asyncio.Future, float]] = []
+        attached: list[tuple[int, asyncio.Future, float]] = []
         high = priority == "high"
         for i, spec in enumerate(specs):
-            t0 = time.perf_counter()
-            key = keys[i]
-            self.metrics.count("requests")
-            if high:
-                self.metrics.count("priority_high")
-            hit = self.cache.get_bytes(key) if self.cache is not None else None
-            self.metrics.observe("lookup", time.perf_counter() - t0)
+            key, t0, hit = self._lookup(spec, high)
+            keys.append(key)
+            outs.append(hit)
             if hit is not None:
-                self.metrics.count("cache_hits")
-                out = CellOutcome(
-                    spec,
-                    key,
-                    "hit",
-                    result_json=hit,
-                    elapsed_s=time.perf_counter() - t0,
-                )
-                self.metrics.observe("total", out.elapsed_s)
-                outs[i] = out
                 continue
-            self.metrics.count("cache_misses")
             fut = self._inflight.get(key)
             if fut is not None:
                 self.metrics.count("dedup_attached")
-                attached.append((i, key, fut, t0))
+                attached.append((i, fut, t0))
                 continue
             fut = loop.create_future()
             self._inflight[key] = fut
@@ -517,15 +527,9 @@ class Scheduler:
                     fut.cancel()
             owned.clear()
 
-        for i, key, fut, t0 in attached:
-            shared: CellOutcome = await asyncio.shield(fut)
-            now = time.perf_counter()
-            self.metrics.observe("wait", now - t0)
-            out = CellOutcome(
-                specs[i], key, "attached", shared.outcome, elapsed_s=now - t0
-            )
-            self.metrics.observe("total", out.elapsed_s)
-            outs[i] = out
+        for i, fut, t0 in attached:
+            shared = await asyncio.shield(fut)
+            outs[i] = self._attached(specs[i], keys[i], shared, t0)
         return outs
 
     async def _dispatch_shards(self, specs, keys, to_compute, n_shards, settle) -> None:

@@ -278,6 +278,13 @@ class TestHttp503:
         payload = json.loads(err.value.read())
         assert "shedding load" in payload["error"]
         assert payload["retry_after"] >= 1
+        # the CLI's client raises the same error, headers and body intact
+        with ServiceClient(server.url, timeout=60) as client:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                client.submit(specs=[c])
+        assert err.value.code == 503
+        assert int(err.value.headers["Retry-After"]) >= 1
+        assert "shedding load" in json.loads(err.value.read())["error"]
         loop.call_soon_threadsafe(worker.gate.set)
         t1.join(timeout=30)
         t2.join(timeout=30)
@@ -301,6 +308,7 @@ class TestHttp503:
             time.sleep(0.01)
         loop.call_soon_threadsafe(worker.gate.set)
         assert done.wait(timeout=30)
+        client.close()
         assert server.scheduler.metrics.priority_high == 1
 
     def test_bad_priority_is_a_400(self, tiny_service):

@@ -7,6 +7,7 @@ import json
 import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlsplit
@@ -38,9 +39,11 @@ def service(tmp_path):
     scheduler = Scheduler(jobs=2, cache=ResultCache(tmp_path / "cache"))
     server = ServiceServer(scheduler)
     asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=30)
+    client = ServiceClient(server.url, timeout=120)
     try:
-        yield server, ServiceClient(server.url, timeout=120)
+        yield server, client
     finally:
+        client.close()
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(timeout=30)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
@@ -301,3 +304,169 @@ def test_import_leaves_analysis_and_http_client_unloaded():
         capture_output=True, text=True, check=True, env=env,
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+class _CountingServer(ServiceServer):
+    """A front end that counts the connections it accepts."""
+
+    accepts = 0
+
+    async def _connection(self, reader, writer) -> None:
+        self.accepts += 1
+        await super()._connection(reader, writer)
+
+
+@pytest.fixture
+def live_loop():
+    """An event loop on a background thread; yields a function that
+    runs a coroutine on it and returns its result.  Anything the loop
+    reports to its exception handler fails the test."""
+    loop = asyncio.new_event_loop()
+    reported = []
+    loop.set_exception_handler(lambda _loop, context: reported.append(context))
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def run(coro, timeout=30):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=timeout)
+
+    try:
+        yield run
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+    assert not reported, reported
+
+
+@pytest.fixture
+def counting(tmp_path, live_loop):
+    server = _CountingServer(Scheduler(cache=ResultCache(tmp_path / "c")))
+    live_loop(server.start())
+    client = ServiceClient(server.url, timeout=60)
+    try:
+        yield server, client
+    finally:
+        client.close()
+        live_loop(server.close())
+
+
+class TestKeptAliveClient:
+    def test_requests_share_one_connection(self, counting):
+        server, client = counting
+        for _ in range(5):
+            assert client.healthy()
+        assert client.status()["jobs"] == 1
+        assert "repro_requests_total 0" in client.metrics()
+        assert client.result("0" * 64) is None  # a 404 keeps the connection
+        assert client.healthy()
+        assert server.accepts == 1
+
+    def test_reconnects_after_the_server_closes(self, counting):
+        server, client = counting
+        assert client.healthy()
+        # a malformed request on the client's own connection: the server
+        # answers 400 and closes it, and the client is not told
+        sock = client._conn.sock
+        sock.sendall(b"NONSENSE\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"Connection: close" in reply
+        assert client.healthy()
+        assert server.accepts == 2
+        assert client.status()["jobs"] == 1
+        assert server.accepts == 2
+
+    def test_error_replies_raise_http_error(self, counting):
+        server, client = counting
+        with pytest.raises(urllib.error.HTTPError) as info:
+            client.submit(specs=[])
+        assert info.value.code == 400
+        assert info.value.headers["Content-Type"] == "application/json"
+        assert "non-empty list" in json.loads(info.value.read())["error"]
+        assert client.healthy()
+        assert server.accepts == 1
+
+    def test_threads_take_turns_on_one_connection(self, counting):
+        server, client = counting
+        failures = []
+
+        def hammer():
+            try:
+                for _ in range(25):
+                    assert client.status()["jobs"] == 1
+                    assert client.healthy()
+            except Exception as exc:  # reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures
+        assert server.accepts == 1
+
+    def test_close_and_context_manager(self, counting):
+        server, client = counting
+        with ServiceClient(server.url, timeout=60) as other:
+            assert other.healthy()
+        assert other._conn.sock is None
+        assert other.healthy()  # a closed client opens a new connection
+        other.close()
+        assert server.accepts == 2
+
+
+def test_close_returns_with_an_idle_keepalive_client(live_loop, caplog):
+    """An idle kept-alive connection must not hold up shutdown: close()
+    closes it, returns promptly and logs nothing."""
+    server = ServiceServer(Scheduler(cache=None))
+    live_loop(server.start())
+    where = urlsplit(server.url)
+    with socket.create_connection((where.hostname, where.port), timeout=5) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        reply = b""
+        while not reply.endswith(b"ok\n"):
+            reply += sock.recv(65536)
+        assert b"Connection: keep-alive" in reply
+        live_loop(server.close(), timeout=2)
+        assert sock.recv(65536) == b""  # the server closed the idle connection
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def test_close_lets_a_request_in_flight_finish(live_loop):
+    """close() waits for a request in flight; its response is sent, with
+    ``Connection: close``, and then the connection closes."""
+    entered, gate = threading.Event(), threading.Event()
+
+    class Slow(ServiceServer):
+        async def _route(self, method, path, body):
+            entered.set()
+            await asyncio.get_running_loop().run_in_executor(None, gate.wait, 10)
+            return await super()._route(method, path, body)
+
+    server = Slow(Scheduler(cache=None))
+    live_loop(server.start())
+    where = urlsplit(server.url)
+    with socket.create_connection((where.hostname, where.port), timeout=5) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert entered.wait(10)  # the request is in flight
+        closing = threading.Thread(target=live_loop, args=(server.close(), 10))
+        closing.start()
+        time.sleep(0.2)
+        assert closing.is_alive()  # waiting for the request in flight
+        gate.set()
+        closing.join(timeout=10)
+        assert not closing.is_alive()
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(b"ok\n")
+    assert b"Connection: close" in reply

@@ -195,3 +195,128 @@ class TestRunBatchFacade:
         from repro.runner import run_jobs
 
         assert run_batch([GOOD]).outcomes[0] == run_jobs([GOOD]).outcomes[0]
+
+
+def _seeded(n: int) -> list[JobSpec]:
+    """n distinct cheap specs (distinct seeds -> distinct cache keys)."""
+    return [JobSpec(program="fullconn", scale=0.05, seed=3000 + i) for i in range(n)]
+
+
+class TestLookupPass:
+    """Every cell is looked up once, in one synchronous pass; hits are
+    settled there, and a key repeated in a batch attaches to its first
+    occurrence."""
+
+    @pytest.fixture(scope="class")
+    def warm_dir(self, tmp_path_factory):
+        """A store holding the first two of ``_seeded(4)``."""
+        root = tmp_path_factory.mktemp("warm")
+        run_batch(_seeded(2), cache=ResultCache(root))
+        return root
+
+    @staticmethod
+    def _grid():
+        # two hits, two misses, and the first miss again
+        hit_a, hit_b, miss_c, miss_d = _seeded(4)
+        return [hit_a, miss_c, hit_b, miss_d, miss_c]
+
+    @staticmethod
+    def _store(warm_dir, tmp_path) -> ResultCache:
+        import shutil
+
+        shutil.copytree(warm_dir, tmp_path / "store")
+        return ResultCache(tmp_path / "store")
+
+    def _serve(self, how, cache, jobs=1):
+        specs = self._grid()
+        if how == "run_jobs":
+            from repro.runner import run_jobs
+            from repro.service import scheduler as scheduler_mod
+
+            made = []
+
+            class Recording(Scheduler):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    made.append(self)
+
+            original = scheduler_mod.Scheduler
+            scheduler_mod.Scheduler = Recording
+            try:
+                batch = run_jobs(specs, jobs=jobs, cache=cache, trace_cache=False)
+            finally:
+                scheduler_mod.Scheduler = original
+            assert batch.stats.executed == 2
+            assert batch.stats.cached == 3
+            return made[0], None
+        transports = []
+        if how == "submit_grid_transport":
+            from repro.service import InProcessTransport, WorkerAgent
+
+            agent = WorkerAgent(cache=None, trace_cache=False)
+            transports = [InProcessTransport(agent.handle)]
+        sched = Scheduler(
+            jobs=jobs, cache=cache, trace_cache=False, transports=transports
+        )
+        method = sched.submit_many if how == "submit_many" else sched.submit_grid
+        try:
+            outs = asyncio.run(method(specs))
+        finally:
+            sched.close()
+        return sched, outs
+
+    @pytest.mark.parametrize(
+        "how", ["submit_many", "submit_grid", "submit_grid_transport", "run_jobs"]
+    )
+    def test_every_cell_is_looked_up_once(self, how, warm_dir, tmp_path):
+        cache = self._store(warm_dir, tmp_path)
+        sched, outs = self._serve(how, cache)
+        cells = len(self._grid())
+        m = sched.metrics
+        assert m.requests == cells
+        assert m.cache_hits + m.cache_misses == cells
+        assert m.stage_latency["lookup"].total == cells
+        assert m.stage_latency["total"].total == cells
+        assert cache.stats.lookups == cells
+        assert m.executed == 2
+        if outs is not None:
+            assert [o.status for o in outs] == ["hit", "ok", "hit", "ok", "attached"]
+            assert outs[4].outcome is outs[1].outcome
+            assert m.dedup_attached == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_key_attaches_under_any_jobs(self, jobs, warm_dir, tmp_path):
+        cache = self._store(warm_dir, tmp_path)
+        sched, outs = self._serve("submit_many", cache, jobs=jobs)
+        assert sched.metrics.executed == 2
+        assert sched.metrics.dedup_attached == 1
+        assert outs[4].status == "attached"
+        assert outs[4].outcome == outs[1].outcome
+        assert sched._inflight == {}
+        assert (sched.metrics.in_flight, sched.metrics.queue_depth) == (0, 0)
+
+    def test_all_hit_grid_creates_no_task(self, warm_dir, tmp_path):
+        cache = self._store(warm_dir, tmp_path)
+        hit_a, hit_b, miss_c, _ = _seeded(4)
+
+        async def tasks_made(sched, specs):
+            made = []
+
+            def factory(loop, coro, **kwargs):
+                made.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(factory)
+            try:
+                outs = await sched.submit_grid(specs)
+            finally:
+                loop.set_task_factory(None)
+            return [o.status for o in outs], len(made)
+
+        sched = Scheduler(cache=cache, trace_cache=False)
+        hits = asyncio.run(tasks_made(sched, [hit_a, hit_b, hit_a]))
+        assert hits == (["hit", "hit", "hit"], 0)
+        # the factory does see the task a miss is served in
+        statuses, made = asyncio.run(tasks_made(sched, [hit_a, miss_c]))
+        assert statuses == ["hit", "ok"] and made >= 1

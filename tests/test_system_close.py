@@ -85,6 +85,41 @@ def test_no_machine_outlives_its_run(traceset):
         gc.enable()
 
 
+def test_audited_runs_leave_no_auditor(traceset):
+    """An auditor and its sub-auditors point at each other; closing the
+    System breaks that cycle, and the report stays readable."""
+    from repro.audit import SystemAuditor
+    from repro.audit.coherence import CoherenceAuditor
+    from repro.audit.report import AuditReport
+
+    audit_types = (SystemAuditor, CoherenceAuditor, AuditReport)
+    gc.collect()
+    known = frozenset(id(o) for o in gc.get_objects() if isinstance(o, audit_types))
+    config = MachineConfig(n_procs=traceset.n_procs, audit=True)
+    gc.disable()
+    try:
+        for scheme in ("queuing", "ttas"):
+            for model in MODELS:
+                simulate(traceset, config, get_lock_manager(scheme), get_model(model))
+                report = run_cell(traceset, scheme, model, audit=True)
+                assert report.equal and report.violations == 0
+                assert report.audit_checks > 0
+        system = System(traceset, config, get_lock_manager("mcs"), get_model("sc"))
+        auditor = system.audit
+        system.run()
+        system.close()
+        assert auditor.report.ok and sum(auditor.report.checks.values()) > 0
+        del system, auditor
+        left = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, audit_types) and id(o) not in known
+        ]
+        assert not left, f"{len(left)} audit objects outlived their runs"
+    finally:
+        gc.enable()
+
+
 def test_lock_manager_passed_to_simulate_stays_readable(traceset):
     manager = get_lock_manager("ttas")
     result = simulate(traceset, lock_manager=manager, model=get_model("wo"))
