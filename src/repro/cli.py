@@ -496,6 +496,21 @@ def _trace_cache_arg(args):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # each of these imports only what it uses: submit and status, the
+    # service's clients, load no simulator
+    command = {
+        "batch": _run_batch,
+        "cache": _run_cache,
+        "trace": _run_trace,
+        "serve": _run_serve,
+        "submit": _run_submit,
+        "status": _run_status,
+        "predict": _run_predict,
+        "contention-report": _run_contention_report,
+        "diff-verify": _run_diff_verify,
+    }.get(args.cmd)
+    if command is not None:
+        return command(args)
     # imports deferred so `--help` stays snappy
     from . import core
     from .consistency import get_model
@@ -564,18 +579,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[cache] {cache.stats.summary()}", file=sys.stderr)
         if tcache:
             print(f"[trace-cache] {tcache.stats.summary()}", file=sys.stderr)
-    elif args.cmd == "batch":
-        return _run_batch(args)
-    elif args.cmd == "cache":
-        return _run_cache(args)
-    elif args.cmd == "trace":
-        return _run_trace(args)
-    elif args.cmd == "serve":
-        return _run_serve(args)
-    elif args.cmd == "submit":
-        return _run_submit(args)
-    elif args.cmd == "status":
-        return _run_status(args)
     elif args.cmd == "generate":
         ts = generate_trace(args.workload, scale=args.scale, seed=args.seed)
         save_traceset(ts, args.out)
@@ -640,12 +643,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{f.proc:>4} {f.data_lines:>11,} {f.shared_data_lines:>8,} "
                 f"{f.code_lines:>6,} {str(f.fits_in()):>10}"
             )
-    elif args.cmd == "predict":
-        return _run_predict(args)
-    elif args.cmd == "contention-report":
-        return _run_contention_report(args)
-    elif args.cmd == "diff-verify":
-        return _run_diff_verify(args)
     return 0
 
 
@@ -1158,10 +1155,10 @@ def _run_submit(args) -> int:
     """``repro submit``: one grid request against a running service."""
     import json
 
-    from .service import ServiceClient
-    from .workloads.registry import BENCHMARK_ORDER
-
     from urllib.error import HTTPError
+
+    from . import BENCHMARK_ORDER
+    from .service import ServiceClient
 
     with ServiceClient(args.url, timeout=args.http_timeout) as client:
         if not client.healthy():

@@ -1,51 +1,42 @@
 """Shared-bus multiprocessor substrate: caches, Illinois coherence, the
-split-transaction bus, memory, buffers, processors and the event engine."""
+split-transaction bus, memory, buffers, processors and the event engine.
 
-from .buffers import BusOp, CacheBusBuffer
-from .bus import Bus
-from .buslog import BusLog, render_bus_anatomy
-from .cache import EXCLUSIVE, INVALID, MODIFIED, SHARED, Cache
-from .coherence import (
-    ILLINOIS,
-    UPDATE as UPDATE_PROTOCOL,
-    CoherenceProtocol,
-    IllinoisProtocol,
-    UpdateProtocol,
-    get_protocol,
-)
-from .config import BusConfig, CacheConfig, MachineConfig, MemoryConfig
-from .engine import Engine
-from .memory import Memory
-from .metrics import ProcMetrics, RunResult
-from .processor import Processor
-from .system import System, simulate
+Each public name loads its submodule on first use, so importing
+``repro.machine.config`` or ``repro.machine.metrics`` does not load the
+processor, the system or the trace layer behind them."""
 
-__all__ = [
-    "Bus",
-    "BusConfig",
-    "BusLog",
-    "BusOp",
-    "render_bus_anatomy",
-    "Cache",
-    "CacheBusBuffer",
-    "CacheConfig",
-    "CoherenceProtocol",
-    "EXCLUSIVE",
-    "Engine",
-    "ILLINOIS",
-    "IllinoisProtocol",
-    "UPDATE_PROTOCOL",
-    "UpdateProtocol",
-    "get_protocol",
-    "INVALID",
-    "MODIFIED",
-    "MachineConfig",
-    "Memory",
-    "MemoryConfig",
-    "ProcMetrics",
-    "Processor",
-    "RunResult",
-    "SHARED",
-    "System",
-    "simulate",
-]
+from .. import _lazy
+
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "BusOp": "buffers",
+    "CacheBusBuffer": "buffers",
+    "Bus": "bus",
+    "BusLog": "buslog",
+    "render_bus_anatomy": "buslog",
+    "Cache": "cache",
+    "EXCLUSIVE": "cache",
+    "INVALID": "cache",
+    "MODIFIED": "cache",
+    "SHARED": "cache",
+    "CoherenceProtocol": "coherence",
+    "ILLINOIS": "coherence",
+    "IllinoisProtocol": "coherence",
+    "UPDATE_PROTOCOL": "coherence:UPDATE",
+    "UpdateProtocol": "coherence",
+    "get_protocol": "coherence",
+    "BusConfig": "config",
+    "CacheConfig": "config",
+    "MachineConfig": "config",
+    "MemoryConfig": "config",
+    "Engine": "engine",
+    "Memory": "memory",
+    "ProcMetrics": "metrics",
+    "RunResult": "metrics",
+    "Processor": "processor",
+    "System": "system",
+    "simulate": "system",
+}
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)
+__all__ = sorted(_EXPORTS)

@@ -38,11 +38,8 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..machine.buffers import LOCK_MEM, LOCK_XFER
 from ..machine.metrics import RunResult
-from ..sync import get_lock_manager
 from ..sync.stats import LockStatsCollector
-from ..trace.validate import sync_free
 from .cache import ResultCache
 from .serialize import result_to_dict
 from .spec import JobSpec, traceset_digest
@@ -202,6 +199,10 @@ def _simulate(spec: JobSpec, ts) -> dict:
     granted a lock-kind bus op or counted a lock statistic anyway is
     not memoized.
     """
+    from ..machine.buffers import LOCK_MEM, LOCK_XFER
+    from ..sync import get_lock_manager
+    from ..trace.validate import sync_free
+
     if ts is None or not sync_free(ts):
         return result_to_dict(spec.run(traceset=ts))
     name = get_lock_manager(spec.lock_scheme, **dict(spec.lock_kwargs)).name

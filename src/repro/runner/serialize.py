@@ -28,8 +28,6 @@ from __future__ import annotations
 import json
 import struct
 
-import numpy as np
-
 from ..machine.config import MachineConfig
 from ..machine.metrics import ProcMetrics, RunResult
 from ..sync.stats import LockStats
@@ -218,6 +216,8 @@ def result_to_bytes(r: RunResult) -> bytes:
         desc["meta"] = dict(r.meta)
     wide = any(not (-(2**31) <= v < 2**31) for v in values)
     desc["dtype"] = "<i8" if wide else "<i4"
+    import numpy as np  # here: a process serving stored results never needs it
+
     arr = np.asarray(values, dtype=np.dtype(desc["dtype"]))
     desc_bytes = json.dumps(desc, separators=(",", ":")).encode()
     return (
@@ -254,6 +254,8 @@ def result_from_bytes(data: bytes) -> RunResult:
 def _decode_blob(desc: dict, numeric: bytes) -> RunResult:
     if desc["dtype"] not in ("<i4", "<i8"):
         raise ValueError(f"result blob dtype {desc['dtype']!r} is not <i4 or <i8")
+    import numpy as np
+
     arr = np.frombuffer(numeric, dtype=np.dtype(desc["dtype"]))
     values = arr.tolist()  # native python ints, exactly as serialized
 

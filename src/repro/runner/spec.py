@@ -25,14 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from ..consistency import get_model
 from ..machine.config import MachineConfig
 from ..machine.metrics import RunResult
-from ..machine.system import simulate
-from ..sync import get_lock_manager
-from ..trace.records import TraceSet
 from .serialize import machine_from_dict, machine_to_dict
+
+if TYPE_CHECKING:  # annotations only: the trace layer loads numpy
+    from ..trace.records import TraceSet
 
 __all__ = ["CACHE_FORMAT", "JobSpec", "traceset_digest"]
 
@@ -168,6 +168,10 @@ class JobSpec:
 
     def run(self, traceset: TraceSet | None = None) -> RunResult:
         """Execute the simulation this spec describes."""
+        from ..consistency import get_model
+        from ..machine.system import simulate
+        from ..sync import get_lock_manager
+
         ts = traceset if traceset is not None else self.resolve_traceset()
         return simulate(
             ts,

@@ -42,6 +42,7 @@ from ..runner.spec import JobSpec
 from .aggregator import StreamAggregator
 from .planner import grid_specs
 from .scheduler import Overloaded, Scheduler
+from .transport import Listener
 
 __all__ = ["ServiceServer", "ServiceClient"]
 
@@ -66,18 +67,14 @@ class ServiceServer:
         self.host = host
         self.port = int(port)
         self.aggregator = aggregator if aggregator is not None else StreamAggregator()
-        self._server: asyncio.AbstractServer | None = None
+        self._listener = Listener()
         self._started = time.monotonic()
-        #: handler task -> its writer while idle between requests, else None
-        self._conns: dict = {}
-        self._closing = False
 
     # ------------------------------------------------------------------
     async def start(self) -> "ServiceServer":
-        self._server = await asyncio.start_server(
+        self.port = await self._listener.start(
             self._connection, self.host, self.port, limit=_MAX_BODY
         )
-        self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.monotonic()
         return self
 
@@ -88,7 +85,7 @@ class ServiceServer:
     async def serve_forever(self) -> None:
         """Serve until cancelled, then :meth:`close` (``asyncio``'s own
         would wait for idle kept-alive connections to close)."""
-        assert self._server is not None, "call start() first"
+        assert self._listener.server is not None, "call start() first"
         try:
             await asyncio.get_running_loop().create_future()
         finally:
@@ -97,15 +94,9 @@ class ServiceServer:
     async def close(self) -> None:
         """Stop listening, close idle connections, let each request in
         flight finish and close its connection, close the scheduler."""
-        if self._server is not None:
-            self._server.close()
-            self._closing = True
-            for writer in filter(None, self._conns.values()):
-                writer.close()
-            if self._conns:
-                await asyncio.wait(list(self._conns))
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener.server is not None:
+            self._listener.close()
+            await self._listener.wait_closed()
         self.scheduler.close()
 
     # ------------------------------------------------------------------
@@ -114,10 +105,10 @@ class ServiceServer:
     async def _connection(self, reader, writer) -> None:
         task = asyncio.current_task()
         try:
-            while not self._closing:
-                self._conns[task] = writer
+            while not self._listener.closing:
+                self._listener.conns[task] = writer
                 line = await reader.readline()
-                self._conns[task] = None
+                self._listener.conns[task] = None
                 try:
                     request = await self._read_request(reader, line)
                 except _BadRequest as exc:
@@ -145,7 +136,7 @@ class ServiceServer:
                 except Exception as exc:  # route bug: report, keep serving
                     status, payload, content_type = _error(500, f"{type(exc).__name__}: {exc}")
                 keep = headers.get("connection", "keep-alive").lower() != "close"
-                keep = keep and not self._closing
+                keep = keep and not self._listener.closing
                 self._write_response(
                     writer, status, payload, content_type, keep, extra_headers
                 )
@@ -155,7 +146,7 @@ class ServiceServer:
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-request; nothing to answer
         finally:
-            self._conns.pop(task, None)
+            self._listener.conns.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

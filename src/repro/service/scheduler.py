@@ -50,7 +50,6 @@ from ..runner.executor import (
 from ..runner.manifest import append_record, load_completed
 from ..runner.serialize import result_from_dict, result_from_json
 from ..runner.spec import JobSpec
-from ..trace.cache import resolve_trace_cache
 from .metrics import ServiceMetrics
 from .stores import PeerStore
 
@@ -239,7 +238,11 @@ class Scheduler:
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = _normalize_cache(cache)
-        self.trace_cache = resolve_trace_cache(trace_cache)
+        self.trace_cache = None
+        if trace_cache is not False:  # the trace layer loads numpy
+            from ..trace.cache import resolve_trace_cache
+
+            self.trace_cache = resolve_trace_cache(trace_cache)
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = max(0.0, float(backoff))

@@ -36,6 +36,7 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "SocketTransport",
+    "Listener",
     "serve_socket",
     "encode_frame",
     "decode_binary_body",
@@ -377,6 +378,49 @@ def _error_reply(message) -> dict:
     return {"ok": False, "kind": "error", "message": str(message)}
 
 
+class Listener:
+    """An ``asyncio.Server`` whose shutdown closes idle connections and
+    lets each request in flight finish (``asyncio.Server.wait_closed()``
+    alone waits for every connection on Python 3.12.1 and later, idle or
+    not).  ``close()``, ``wait_closed()``, ``serve_forever()`` and
+    ``async with`` work as on the server.  A connection handler sets
+    ``conns[its task]`` to its writer while it waits for the next
+    request and to ``None`` while it serves one, and stops once
+    ``closing`` is set."""
+
+    def __init__(self) -> None:
+        self.server: asyncio.AbstractServer | None = None
+        self.conns: dict = {}
+        self.closing = False
+
+    async def start(self, handler, host: str, port: int, **kwargs) -> int:
+        """Listen with ``handler`` per connection; returns the bound port."""
+        self.server = await asyncio.start_server(handler, host, port, **kwargs)
+        return self.server.sockets[0].getsockname()[1]
+
+    def close(self) -> None:
+        self.server.close()
+        self.closing = True
+        for writer in filter(None, self.conns.values()):
+            writer.close()
+
+    async def wait_closed(self) -> None:
+        if self.conns:
+            await asyncio.wait(list(self.conns))
+        await self.server.wait_closed()
+
+    async def serve_forever(self) -> None:
+        async with self:
+            await asyncio.get_running_loop().create_future()
+
+    async def __aenter__(self) -> "Listener":
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        self.close()
+        await self.wait_closed()
+
+
 async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0):
     """Serve ``handler`` (async dict -> dict) over binary frames;
     returns ``(server, bound_port)``.  ``port=0`` binds an ephemeral
@@ -385,18 +429,23 @@ async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0):
     A handler exception or an oversized response is answered with an
     error frame and the connection keeps serving.  A stream that stops
     parsing as frames gets one error frame and is then closed: its
-    frame boundaries are lost.
+    frame boundaries are lost.  Closing ``server`` closes idle
+    connections; a frame in flight is answered first.
     """
+    listener = Listener()
 
     async def on_connection(reader, writer) -> None:
+        task = asyncio.current_task()
         try:
-            while True:
+            while not listener.closing:
+                listener.conns[task] = writer
                 try:
                     read = await read_frame(reader)
                 except ConnectionError as exc:
                     writer.write(encode_frame(_error_reply(exc)))
                     await writer.drain()
                     break
+                listener.conns[task] = None
                 if read is None:
                     break
                 try:
@@ -412,12 +461,11 @@ async def serve_socket(handler, host: str = "127.0.0.1", port: int = 0):
         except (ConnectionError, OSError):  # pragma: no cover - peer vanished
             pass
         finally:
+            listener.conns.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    server = await asyncio.start_server(on_connection, host, port)
-    bound_port = server.sockets[0].getsockname()[1]
-    return server, bound_port
+    return listener, await listener.start(on_connection, host, port)

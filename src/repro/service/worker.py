@@ -36,7 +36,6 @@ from ..runner.cache import ResultCache
 from ..runner.executor import JobFailure, _execute, run_jobs
 from ..runner.serialize import RESULT_CODEC, result_to_bytes, result_to_dict
 from ..runner.spec import JobSpec
-from ..trace.cache import resolve_trace_cache, trace_key
 from .stores import PeerStore
 from .transport import Blob, serve_socket
 
@@ -58,7 +57,11 @@ class WorkerAgent:
         self.cache = (
             cache if cache is None or isinstance(cache, ResultCache) else ResultCache(cache)
         )
-        self.trace_cache = resolve_trace_cache(trace_cache)
+        self.trace_cache = None
+        if trace_cache is not False:  # the trace layer loads numpy
+            from ..trace.cache import resolve_trace_cache
+
+            self.trace_cache = resolve_trace_cache(trace_cache)
         self.name = name or f"worker-{os.getpid()}"
         self.peers = PeerStore(
             peers or (), cache=self.cache, trace_cache=self.trace_cache
@@ -157,6 +160,8 @@ class WorkerAgent:
             or spec.traceset is not None
         ):
             return
+        from ..trace.cache import trace_key
+
         key = trace_key(spec.program, spec.scale, spec.seed, spec.n_procs)
         if not self.trace_cache.has_key(key):
             await self.peers.fetch_trace(key)

@@ -6,6 +6,7 @@ model instance; ``generate_suite`` produces every trace for a sweep.
 
 from __future__ import annotations
 
+from .. import BENCHMARK_ORDER
 from ..trace.cache import resolve_trace_cache
 from ..trace.records import TraceSet
 from .base import Workload
@@ -37,9 +38,6 @@ WORKLOADS: dict[str, type[Workload]] = {
     # paper benchmark -- excluded from BENCHMARK_ORDER)
     "synthetic": SyntheticContention,
 }
-
-#: Table order used throughout the paper
-BENCHMARK_ORDER = ["grav", "pdsa", "fullconn", "pverify", "qsort", "topopt"]
 
 #: benchmarks with at least one lock operation (Tables 4/6/8 rows)
 LOCKING_BENCHMARKS = ["grav", "pdsa", "fullconn", "pverify", "qsort"]

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,25 @@ def audit_everything():
     audit.set_default("raise")
     yield
     audit.set_default(None)
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs ``code`` (with ``args`` as ``sys.argv[1:]``) in a new
+    interpreter that imports this checkout's ``repro``, and returns its
+    standard output, stripped: what a module loads shows only there."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(code: str, *args: str) -> str:
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    return run

@@ -151,3 +151,13 @@ class TestSubmitStatus:
         assert main(["status", "--url", url]) == 2
         err = capsys.readouterr().err
         assert err.count("no sweep service answering") == 2
+
+    def test_status_loads_no_simulator(self, fresh_python):
+        """The service commands dispatch before the CLI imports the
+        simulator and the analysis layer."""
+        probe = (
+            "import sys; from repro.cli import main; "
+            "rc = main(['status', '--url', 'http://127.0.0.1:9']); "
+            "print(rc, [m for m in ('numpy', 'repro.core') if m in sys.modules])"
+        )
+        assert fresh_python(probe) == "2 []"

@@ -14,9 +14,16 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from repro.runner import JobSpec, ResultCache
+from repro.runner import JobSpec, ResultCache, run_jobs
 from repro.runner import serialize
-from repro.service import Scheduler, ServiceClient, ServiceServer
+from repro.service import (
+    Scheduler,
+    ServiceClient,
+    ServiceServer,
+    SocketTransport,
+    grid_specs,
+    serve_socket,
+)
 
 pytestmark = pytest.mark.service
 
@@ -279,31 +286,60 @@ class TestMalformedRequests:
         assert client.healthy()
 
 
-def test_import_leaves_analysis_and_http_client_unloaded():
-    """``import repro.service`` (the cold grid pass imports it for
-    ``grid_specs``) loads neither the analysis layer, which only
-    ``StreamAggregator.table`` needs, nor urllib's HTTP client, which
-    only ``ServiceClient`` needs."""
-    import os
-    import subprocess
-    from pathlib import Path
+#: what serving or submitting stored results must not load: numpy and
+#: the simulator, which a miss loads, and the analysis layer
+SIMULATOR = (
+    "numpy",
+    "repro.core",
+    "repro.machine.processor",
+    "repro.machine.system",
+    "repro.trace",
+    "repro.workloads",
+)
 
-    import repro
 
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
+def test_import_leaves_analysis_and_http_client_unloaded(fresh_python):
+    """``import repro``, ``repro.runner`` and ``repro.service`` (a front
+    end and its client import all three; the cold grid pass imports the
+    service for ``grid_specs``) load neither the simulator, nor the
+    analysis layer, which only ``StreamAggregator.table`` needs, nor
+    urllib's HTTP client, which only ``ServiceClient`` needs."""
+    unloaded = (*SIMULATOR, "urllib.request", "http.client")
     probe = (
-        "import sys, repro.service; "
-        "print(sorted(m for m in ('repro.core', 'urllib.request', 'http.client') "
-        "if m in sys.modules))"
+        "import sys, repro, repro.runner, repro.service; "
+        f"print(sorted(m for m in {unloaded!r} if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    assert out.stdout.strip() == "[]", out.stdout
+    assert fresh_python(probe) == "[]"
+
+
+_SERVE_STORED = """
+import asyncio, json, sys, threading
+from repro.runner import ResultCache
+from repro.service import Scheduler, ServiceClient, ServiceServer
+
+loop = asyncio.new_event_loop()
+threading.Thread(target=loop.run_forever, daemon=True).start()
+scheduler = Scheduler(jobs=1, cache=ResultCache(sys.argv[1]), trace_cache=False)
+server = ServiceServer(scheduler)
+asyncio.run_coroutine_threadsafe(server.start(), loop).result(30)
+with ServiceClient(server.url, timeout=60) as client:
+    response = client.submit(grid=json.loads(sys.argv[2]))
+asyncio.run_coroutine_threadsafe(server.close(), loop).result(30)
+print([e["status"] for e in response["results"]],
+      sorted(m for m in json.loads(sys.argv[3]) if m in sys.modules))
+"""
+
+
+def test_serving_a_stored_grid_loads_no_simulator(tmp_path, fresh_python):
+    """A front end built as the benchmark builds it (``jobs=1``, no trace
+    store) serves a grid of store hits, and its client submits it,
+    without loading numpy or the simulator."""
+    grid = {"programs": ["grav", "qsort"], "locks": ["queuing"], "models": ["sc"], "scale": 0.01}
+    specs = grid_specs(grid["programs"], scale=grid["scale"])
+    store = tmp_path / "store"
+    assert run_jobs(specs, cache=ResultCache(store), trace_cache=False).ok()
+    out = fresh_python(_SERVE_STORED, str(store), json.dumps(grid), json.dumps(SIMULATOR))
+    assert out == "['hit', 'hit'] []"
 
 
 class _CountingServer(ServiceServer):
@@ -470,3 +506,44 @@ def test_close_lets_a_request_in_flight_finish(live_loop):
             reply += chunk
     assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(b"ok\n")
     assert b"Connection: close" in reply
+
+
+async def _echo(request: dict) -> dict:
+    return {"ok": True, "echo": request}
+
+
+@pytest.mark.parametrize("stop", ["close", "cancel"])
+def test_worker_listener_closes_an_idle_transport(live_loop, stop):
+    """The worker agent's listener (``serve_socket``) must not wait for a
+    kept-alive transport left idle after a call: ``close()`` plus
+    ``wait_closed()`` (what ``perfbench/serve.py`` runs) and a cancelled
+    ``serve_forever()`` in ``async with`` (what ``repro serve --worker``
+    runs on Ctrl-C) return within 2 s, the idle connection is closed,
+    and nothing reaches the loop's exception handler."""
+
+    async def scenario():
+        server, port = await serve_socket(_echo)
+        transport = SocketTransport(port=port)
+        try:
+            assert (await transport.call({"op": "ping"}))["ok"]
+            if stop == "close":
+                server.close()
+                await asyncio.wait_for(server.wait_closed(), 2)
+            else:
+
+                async def serve():
+                    async with server:
+                        await server.serve_forever()
+
+                task = asyncio.create_task(serve())
+                await asyncio.sleep(0.05)
+                task.cancel()
+                done, _ = await asyncio.wait({task}, timeout=2)
+                assert done, "serve_forever() did not return within 2 s"
+            # the idle connection was closed, and nothing listens any more
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(transport.call({"op": "ping"}), 2)
+        finally:
+            await transport.close()
+
+    live_loop(scenario(), timeout=10)
